@@ -16,19 +16,8 @@ from .objectives import (
     probe_h2,
     prox_power,
 )
-from .dynamics import (
-    OdeState,
-    SchemeState,
-    Trajectory,
-    nesterov_step,
-    ode_rk4_step,
-    prox_nesterov_step,
-    run,
-    run_ode,
-    run_scheme,
-)
+from .dynamics import Trajectory, run, run_ode, run_scheme
 from .lyapunov import (
-    EnergyRecord,
     EnergyTable,
     LyapunovParams,
     MonotoneReport,

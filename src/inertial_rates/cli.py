@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--x0", default=None, help="comma-separated coordinates")
     run.add_argument("--v0", default=None, help="comma-separated coordinates")
     run.add_argument("--stride", type=float, default=None)
-    run.add_argument("--seed", type=float, default=None)
     run.add_argument("--rate-override", type=float, default=None)
     run.add_argument("--lyapunov", default=None, help="auto-sharp | auto-flat | manual")
     run.add_argument("--lyapunov-lambda", type=float, default=None)
@@ -88,8 +87,8 @@ def _cmd_run(args) -> int:
         for key, val in (
             ("mode", args.mode), ("h", args.h), ("dt", args.dt), ("t0", args.t0),
             ("x0", _point_arg(args.x0)), ("v0", _point_arg(args.v0)),
-            ("stride", args.stride), ("seed", args.seed),
-            ("rate_override", args.rate_override), ("lyapunov", args.lyapunov),
+            ("stride", args.stride), ("rate_override", args.rate_override),
+            ("lyapunov", args.lyapunov),
             ("lyapunov_lambda", args.lyapunov_lambda), ("lyapunov_p", args.lyapunov_p),
             ("outdir", args.outdir),
         ):

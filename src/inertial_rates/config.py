@@ -11,9 +11,9 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Tuple, Union
 
+from .dynamics import MODES
 from .objectives import ObjectiveSpec, parse_objective
 
-MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 LYAPUNOV_CHOICES = ("auto-sharp", "auto-flat", "manual")
 
 DEFAULT_H = 1e-5
@@ -44,7 +44,6 @@ class ExperimentConfig:
     lyapunov: str = "auto-sharp"
     lyapunov_lambda: Optional[float] = None
     lyapunov_p: Optional[float] = None
-    seed: int = 0
     outdir: str = "out"
 
     def build_objective(self) -> ObjectiveSpec:
@@ -71,8 +70,10 @@ def resolve_mode(mode: Optional[str], obj: ObjectiveSpec) -> str:
 _RUN_KEYS = {
     "objective", "alpha", "steps", "mode", "h", "dt", "t0", "x0", "v0",
     "stride", "rate_override", "lyapunov", "lyapunov_lambda", "lyapunov_p",
-    "seed", "outdir",
+    "outdir",
 }
+# float keys that must be finite whatever the mode (JSON accepts NaN/Infinity)
+_FINITE_KEYS = ("h", "dt", "t0", "lyapunov_lambda", "lyapunov_p", "rate_override")
 
 
 def _as_point(value, name: str) -> Tuple[float, ...]:
@@ -128,7 +129,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             None if raw.get("lyapunov_lambda") is None else float(raw["lyapunov_lambda"])
         ),
         lyapunov_p=(None if raw.get("lyapunov_p") is None else float(raw["lyapunov_p"])),
-        seed=_as_int(raw.get("seed", 0), "seed"),
         outdir=str(raw.get("outdir", "out")),
     )
     validate_config(cfg, obj)
@@ -140,6 +140,13 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         obj = cfg.build_objective()
     if not (math.isfinite(cfg.alpha) and cfg.alpha > 0.0):
         raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}")
+    for key in _FINITE_KEYS:
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    for key in ("x0", "v0"):
+        if not all(math.isfinite(c) for c in getattr(cfg, key)):
+            raise ConfigError(f"{key} must be finite, got {list(getattr(cfg, key))}")
     if cfg.steps < 1:
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     if cfg.stride < 1:
@@ -170,8 +177,6 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         raise ConfigError("lyapunov auto-flat requires an objective with gamma > 2")
     if cfg.lyapunov == "manual" and (cfg.lyapunov_lambda is None or cfg.lyapunov_p is None):
         raise ConfigError("lyapunov manual requires lyapunov_lambda and lyapunov_p")
-    if cfg.rate_override is not None and not math.isfinite(cfg.rate_override):
-        raise ConfigError(f"rate_override must be finite, got {cfg.rate_override}")
 
 
 @dataclass(frozen=True)

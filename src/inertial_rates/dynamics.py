@@ -2,6 +2,9 @@
 proximal steps, time map t_n = n*sqrt(h)) and a fixed-step RK4 integrator of
 the damped second-order flow  x'' + (alpha/t) x' + grad F(x) = 0.
 
+Each dynamics has one stepping loop, written once for both point forms:
+Python floats in dimension 1, where a step costs a small fraction of the
+array form's, and float arrays otherwise.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -17,24 +20,6 @@ import numpy as np
 from .objectives import ObjectiveSpec
 
 MODES = ("nesterov", "prox-nesterov", "ode-rk4")
-
-
-@dataclass
-class SchemeState:
-    """One step of the discrete scheme; x_prev == x_curr encodes a rest start."""
-
-    n: int
-    x_curr: object
-    x_prev: object
-    alpha: float
-    h: float
-
-
-@dataclass
-class OdeState:
-    t: float
-    x: object
-    v: object
 
 
 @dataclass(frozen=True)
@@ -71,82 +56,26 @@ class Trajectory:
         return len(self.n)
 
 
-# ---------------------------------------------------------------------------
-# single-step operations
-# ---------------------------------------------------------------------------
+def _point_form(dim: int):
+    """(point conversion, zero velocity, finiteness test) for one dimension.
 
-def _momentum(n: int, alpha: float) -> float:
-    return n / (n + alpha)
-
-
-def nesterov_step(state: SchemeState, obj: ObjectiveSpec) -> SchemeState:
-    """Extrapolate with factor n/(n+alpha), then take one gradient step."""
-    m = _momentum(state.n, state.alpha)
-    y = state.x_curr + m * (state.x_curr - state.x_prev)
-    g = obj.gradient(y)
-    x_new = y - state.h * g
-    if not _finite(x_new):
-        raise FloatingPointError(f"non-finite state after step {state.n}")
-    return SchemeState(state.n + 1, x_new, state.x_curr, state.alpha, state.h)
-
-
-def prox_nesterov_step(state: SchemeState, obj: ObjectiveSpec) -> SchemeState:
-    """Same extrapolation as nesterov_step, proximal step instead of gradient."""
-    if obj.prox is None:
-        raise ValueError(f"objective {obj.name} exposes no prox")
-    m = _momentum(state.n, state.alpha)
-    y = state.x_curr + m * (state.x_curr - state.x_prev)
-    x_new = obj.prox(state.h, y)
-    if not _finite(x_new):
-        raise FloatingPointError(f"non-finite state after step {state.n}")
-    return SchemeState(state.n + 1, x_new, state.x_curr, state.alpha, state.h)
-
-
-def ode_rk4_step(state: OdeState, obj: ObjectiveSpec, dt: float, alpha: float) -> OdeState:
-    """One classical RK4 step of (x' = v, v' = -(alpha/t) v - grad F(x)).
-
-    Requires 0 < dt <= state.t so no stage ever samples the damping at t <= 0.
+    Dimension 1 runs on Python floats, higher dimensions on float arrays; the
+    loops below are written once for both.  Steps never update a point in
+    place, so recorded points need no copy.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"ode_rk4_step requires alpha > 0, got {alpha}")
-    if dt <= 0.0 or dt > state.t:
-        raise ValueError(f"ode_rk4_step requires 0 < dt <= t, got dt={dt}, t={state.t}")
-    t, x, v = state.t, state.x, state.v
-    grad = obj.gradient
-    a1x = v
-    a1v = -(alpha / t) * v - grad(x)
-    t2 = t + 0.5 * dt
-    x2 = x + 0.5 * dt * a1x
-    v2 = v + 0.5 * dt * a1v
-    a2x = v2
-    a2v = -(alpha / t2) * v2 - grad(x2)
-    x3 = x + 0.5 * dt * a2x
-    v3 = v + 0.5 * dt * a2v
-    a3x = v3
-    a3v = -(alpha / t2) * v3 - grad(x3)
-    t4 = t + dt
-    x4 = x + dt * a3x
-    v4 = v + dt * a3v
-    a4x = v4
-    a4v = -(alpha / t4) * v4 - grad(x4)
-    x_new = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-    v_new = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-    if not (_finite(x_new) and _finite(v_new)):
-        raise FloatingPointError(f"non-finite state at t={t}")
-    return OdeState(t4, x_new, v_new)
+    if dim == 1:
+        return lambda p: float(np.asarray(p).reshape(())), 0.0, math.isfinite
+    return (
+        lambda p: np.array(p, dtype=float).reshape(dim),
+        np.zeros(dim),
+        lambda p: bool(np.isfinite(p).all()),
+    )
 
-
-def _finite(x) -> bool:
-    if isinstance(x, float):
-        return math.isfinite(x)
-    return bool(np.all(np.isfinite(x)))
-
-
-# ---------------------------------------------------------------------------
-# full runs
-# ---------------------------------------------------------------------------
 
 class _Recorder:
+    """Recorded (n, x, v) samples.  Lists, not preallocated arrays: appending
+    a float costs far less than storing it into an array element."""
+
     def __init__(self, dim: int):
         self.dim = dim
         self.ns: list = []
@@ -158,11 +87,15 @@ class _Recorder:
         self.xs.append(x)
         self.vs.append(v)
 
-    def arrays(self):
+    def trajectory(self, obj: ObjectiveSpec, error, t_scale: float, **fields) -> Trajectory:
+        """The samples as a Trajectory with times t0 + n*t_scale."""
         n = np.asarray(self.ns, dtype=np.int64)
-        x = np.asarray(self.xs, dtype=float).reshape(len(self.ns), self.dim)
-        v = np.asarray(self.vs, dtype=float).reshape(len(self.ns), self.dim)
-        return n, x, v
+        x = np.asarray(self.xs, dtype=float).reshape(len(n), self.dim)
+        v = np.asarray(self.vs, dtype=float).reshape(len(n), self.dim)
+        return Trajectory(
+            objective_name=obj.name, n=n, t=fields["t0"] + n * t_scale, x=x, v=v,
+            gap=_gaps(obj, x), error=error, **fields,
+        )
 
 
 def run_scheme(
@@ -176,73 +109,43 @@ def run_scheme(
 ) -> Trajectory:
     """Run the discrete scheme from rest (x_prev = x_curr = x0).
 
-    Records every ``stride``-th state plus first and last.  A non-finite
-    state aborts the run; the partial trajectory carries an error marker and
-    the last finite state as its final record.
+    Each step extrapolates with factor n/(n+alpha), then takes a gradient
+    step (or a proximal step with ``use_prox``).  Records every
+    ``stride``-th state plus first and last.  A non-finite state, or an
+    OverflowError from the objective, aborts the run; the partial trajectory
+    carries an error marker and the last finite state as its final record.
     """
     if alpha <= 0.0 or h <= 0.0 or steps < 1 or stride < 1:
         raise ValueError("run_scheme requires alpha > 0, h > 0, steps >= 1, stride >= 1")
     if use_prox and obj.prox is None:
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
+    point, zero, finite = _point_form(obj.dim)
+    grad, prox = obj.gradient, obj.prox
+    x = xp = point(x0)
     rec = _Recorder(obj.dim)
+    rec.add(0, x, zero)
     error = None
-    if obj.dim == 1:
-        x = float(np.asarray(x0).reshape(()))
+    for n in range(steps):
+        m = n / (n + alpha)
+        y = x + m * (x - xp)
+        try:
+            xn = prox(h, y) if use_prox else y - h * grad(y)
+        except OverflowError:
+            xn = math.nan
+        if not finite(xn):
+            error = f"non-finite state at step {n + 1}"
+            if n % stride:
+                rec.add(n, x, (x - xp) / sqrt_h)
+            break
         xp = x
-        rec.add(0, x, 0.0)
-        grad = obj.gradient
-        prox = obj.prox
-        for n in range(steps):
-            m = n / (n + alpha)
-            y = x + m * (x - xp)
-            if use_prox:
-                xn = prox(h, y)
-            else:
-                xn = y - h * grad(y)
-            xp = x
-            x = xn
-            if not math.isfinite(x):
-                error = f"non-finite state at step {n + 1}"
-                break
-            k = n + 1
-            if k % stride == 0 or k == steps:
-                rec.add(k, x, (x - xp) / sqrt_h)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        xp = x.copy()
-        rec.add(0, x.copy(), np.zeros(obj.dim))
-        for n in range(steps):
-            m = n / (n + alpha)
-            y = x + m * (x - xp)
-            if use_prox:
-                xn = obj.prox(h, y)
-            else:
-                xn = y - h * obj.gradient(y)
-            xp = x
-            x = xn
-            if not np.all(np.isfinite(x)):
-                error = f"non-finite state at step {n + 1}"
-                break
-            k = n + 1
-            if k % stride == 0 or k == steps:
-                rec.add(k, x.copy(), (x - xp) / sqrt_h)
-    n_arr, x_arr, v_arr = rec.arrays()
-    t_arr = n_arr * sqrt_h
-    gap = _gaps(obj, x_arr)
-    return Trajectory(
-        mode="prox-nesterov" if use_prox else "nesterov",
-        objective_name=obj.name,
-        alpha=alpha,
-        step=h,
-        t0=0.0,
-        stride=stride,
-        n=n_arr,
-        t=t_arr,
-        x=x_arr,
-        v=v_arr,
-        gap=gap,
-        error=error,
+        x = xn
+        k = n + 1
+        if k % stride == 0 or k == steps:
+            rec.add(k, x, (x - xp) / sqrt_h)
+    return rec.trajectory(
+        obj, error, sqrt_h, mode="prox-nesterov" if use_prox else "nesterov",
+        alpha=alpha, step=h, t0=0.0, stride=stride,
     )
 
 
@@ -256,25 +159,28 @@ def run_ode(
     v0=None,
     stride: int = 100,
 ) -> Trajectory:
-    """Integrate the flow with fixed-step RK4 from (x0, v0) at t0.
+    """Integrate the flow with classical fixed-step RK4 from (x0, v0) at t0.
 
-    t0 is clamped up to dt (the damping is singular at 0, t0 > 0 mandatory);
-    times are t0 + k*dt computed from the step index.
+    The system is x' = v, v' = -(alpha/t) v - grad F(x).  t0 is clamped up
+    to dt (the damping is singular at 0, t0 > 0 mandatory), so no stage
+    samples the damping at t <= 0; times are t0 + k*dt computed from the
+    step index.  Divergence is handled as in run_scheme.
     """
     if alpha <= 0.0 or dt <= 0.0 or steps < 1 or stride < 1:
         raise ValueError("run_ode requires alpha > 0, dt > 0, steps >= 1, stride >= 1")
     if t0 <= 0.0:
         raise ValueError(f"run_ode requires t0 > 0, got {t0}")
     t0 = max(t0, dt)
+    point, zero, finite = _point_form(obj.dim)
+    grad = obj.gradient
+    x = point(x0)
+    v = zero if v0 is None else point(v0)
     rec = _Recorder(obj.dim)
+    rec.add(0, x, v)
     error = None
-    if obj.dim == 1:
-        x = float(np.asarray(x0).reshape(()))
-        v = 0.0 if v0 is None else float(np.asarray(v0).reshape(()))
-        rec.add(0, x, v)
-        grad = obj.gradient
-        for k in range(steps):
-            t = t0 + k * dt
+    for k in range(steps):
+        t = t0 + k * dt
+        try:
             a1x = v
             a1v = -(alpha / t) * v - grad(x)
             t2 = t + 0.5 * dt
@@ -291,54 +197,37 @@ def run_ode(
             v4 = v + dt * a3v
             a4x = v4
             a4v = -(alpha / t4) * v4 - grad(x4)
-            x = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-            v = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-            if not (math.isfinite(x) and math.isfinite(v)):
-                error = f"non-finite state at step {k + 1}"
-                break
-            kk = k + 1
-            if kk % stride == 0 or kk == steps:
-                rec.add(kk, x, v)
-    else:
-        state = OdeState(
-            t0,
-            np.asarray(x0, dtype=float).copy(),
-            np.zeros(obj.dim) if v0 is None else np.asarray(v0, dtype=float).copy(),
-        )
-        rec.add(0, state.x.copy(), state.v.copy())
-        for k in range(steps):
-            state = OdeState(t0 + k * dt, state.x, state.v)
-            try:
-                state = ode_rk4_step(state, obj, dt, alpha)
-            except FloatingPointError as exc:
-                error = str(exc)
-                break
-            kk = k + 1
-            if kk % stride == 0 or kk == steps:
-                rec.add(kk, state.x.copy(), state.v.copy())
-    n_arr, x_arr, v_arr = rec.arrays()
-    t_arr = t0 + n_arr * dt
-    gap = _gaps(obj, x_arr)
-    return Trajectory(
-        mode="ode-rk4",
-        objective_name=obj.name,
-        alpha=alpha,
-        step=dt,
-        t0=t0,
-        stride=stride,
-        n=n_arr,
-        t=t_arr,
-        x=x_arr,
-        v=v_arr,
-        gap=gap,
-        error=error,
+            xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+            vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
+        except OverflowError:
+            xn = vn = math.nan
+        if not (finite(xn) and finite(vn)):
+            error = f"non-finite state at step {k + 1}"
+            if k % stride:
+                rec.add(k, x, v)
+            break
+        x = xn
+        v = vn
+        kk = k + 1
+        if kk % stride == 0 or kk == steps:
+            rec.add(kk, x, v)
+    return rec.trajectory(
+        obj, error, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0, stride=stride
     )
 
 
 def _gaps(obj: ObjectiveSpec, x_arr: np.ndarray) -> np.ndarray:
-    if obj.dim == 1:
-        return np.array([obj.value(float(x[0])) - obj.f_star for x in x_arr])
-    return np.array([obj.value(x) - obj.f_star for x in x_arr])
+    """F(x) - F* per record; a value that overflows counts as inf."""
+    value, f_star = obj.value, obj.f_star
+
+    def gap(x):
+        try:
+            return value(x) - f_star
+        except OverflowError:
+            return math.inf
+
+    points = x_arr[:, 0].tolist() if obj.dim == 1 else x_arr
+    return np.array([gap(x) for x in points])
 
 
 def run(config, obj: ObjectiveSpec) -> Trajectory:
@@ -352,8 +241,8 @@ def run(config, obj: ObjectiveSpec) -> Trajectory:
             dt=config.dt,
             t0=config.t0,
             steps=config.steps,
-            x0=config.x0 if obj.dim > 1 else config.x0[0],
-            v0=config.v0 if obj.dim > 1 else config.v0[0],
+            x0=config.x0,
+            v0=config.v0,
             stride=config.stride,
         )
     return run_scheme(
@@ -361,7 +250,7 @@ def run(config, obj: ObjectiveSpec) -> Trajectory:
         alpha=config.alpha,
         h=config.h,
         steps=config.steps,
-        x0=config.x0 if obj.dim > 1 else config.x0[0],
+        x0=config.x0,
         stride=config.stride,
         use_prox=(config.mode == "prox-nesterov"),
     )

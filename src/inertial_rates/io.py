@@ -7,6 +7,8 @@ import json
 import os
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .dynamics import Trajectory
 from .lyapunov import EnergyTable
 from .rates import RateVerdict, ZSeries
@@ -17,37 +19,47 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_text(path: str):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_text(path) as fh:
         fh.write(text)
 
 
+# Rows formatted per write: one string for a whole 2e5-row file would add tens
+# of MB to the peak memory of a run.
+_BLOCK_ROWS = 4096
+
+
+def _write_columns(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """CSV of equal-length 1-D columns: integer columns as %d, float columns
+    as %.17g (the same text as fmt), written in blocks of _BLOCK_ROWS rows."""
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    with _open_text(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = zip(*(c[lo:lo + _BLOCK_ROWS].tolist() for c in columns))
+            fh.write("".join([row % r for r in block]))
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    d = traj.dim
-    cols = ["n", "t"] + [f"x_{i}" for i in range(d)] + [f"v_{i}" for i in range(d)] + ["gap"]
-    lines = [",".join(cols)]
-    for i in range(len(traj)):
-        row = [str(int(traj.n[i])), fmt(traj.t[i])]
-        row += [fmt(traj.x[i, j]) for j in range(d)]
-        row += [fmt(traj.v[i, j]) for j in range(d)]
-        row.append(fmt(traj.gap[i]))
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    d = range(traj.dim)
+    header = ["n", "t", *(f"x_{i}" for i in d), *(f"v_{i}" for i in d), "gap"]
+    _write_columns(path, header, [traj.n, traj.t, *traj.x.T, *traj.v.T, traj.gap])
 
 
 def write_energy_csv(table: EnergyTable, path: str) -> None:
-    lines = ["t,a,b,c,E,H,z"]
-    for r in table:
-        lines.append(",".join(fmt(v) for v in (r.t, r.a, r.b, r.c, r.E, r.H, r.z)))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_columns(
+        path, "t,a,b,c,E,H,z".split(","),
+        [table.t, table.a, table.b, table.c, table.E, table.H, table.z],
+    )
 
 
 def write_z_csv(zs: ZSeries, path: str) -> None:
-    lines = ["t,z"]
-    for i in range(len(zs.t)):
-        lines.append(f"{fmt(zs.t[i])},{fmt(zs.z[i])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_columns(path, ["t", "z"], [zs.t, zs.z])
 
 
 def verdict_to_dict(

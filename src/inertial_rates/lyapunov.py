@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,16 +90,6 @@ def manual_params(alpha: float, lam: float, p: float) -> LyapunovParams:
     return LyapunovParams(alpha, lam, p, xi, xi * (p - 2.0 * lam), REGIME_MANUAL)
 
 
-class EnergyRecord(NamedTuple):
-    t: float
-    a: float
-    b: float
-    c: float
-    E: float
-    H: float
-    z: float
-
-
 @dataclass(frozen=True)
 class EnergyTable:
     """Energy components along a trajectory (one row per kept record)."""
@@ -116,13 +106,6 @@ class EnergyTable:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __iter__(self) -> Iterator[EnergyRecord]:
-        for i in range(len(self.t)):
-            yield EnergyRecord(
-                self.t[i], self.a[i], self.b[i], self.c[i],
-                self.E[i], self.H[i], self.z[i],
-            )
 
 
 def energy_along(

@@ -2,8 +2,9 @@
 sampling probes for the flatness / growth geometry hypotheses.
 
 Catalog entries are 1-D by default; power objectives extend radially to R^n.
-Points are plain floats in dimension 1 and numpy arrays otherwise, which keeps
-the simulation hot loops free of array overhead.
+Points are plain floats in dimension 1 and numpy arrays otherwise.  The
+simulation loops are written once for both forms, so dimension 1 runs free of
+array overhead.  Catalog parameters must be finite.
 """
 from __future__ import annotations
 
@@ -156,8 +157,8 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
     the vector field is only evaluated there at rest; discrete runs use the
     proximal path for gamma < 2 to stay clear of the non-Lipschitz point.
     """
-    if gamma < 1.0:
-        raise ValueError(f"make_power requires gamma >= 1, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"make_power requires a finite gamma >= 1, got {gamma}")
     if dim < 1:
         raise ValueError(f"make_power requires dim >= 1, got {dim}")
     name = f"power:gamma={gamma:g},dim={dim}"
@@ -209,10 +210,10 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
 
 def make_plateau(gamma: float, a: float) -> ObjectiveSpec:
     """``F(x) = max(|x| - a, 0)**gamma`` with minimizer set [-a, a] (1-D)."""
-    if gamma < 1.0:
-        raise ValueError(f"make_plateau requires gamma >= 1, got {gamma}")
-    if a <= 0.0:
-        raise ValueError(f"make_plateau requires a > 0, got {a}")
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise ValueError(f"make_plateau requires a finite gamma >= 1, got {gamma}")
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"make_plateau requires a finite a > 0, got {a}")
 
     def value(x):
         return max(abs(x) - a, 0.0) ** gamma

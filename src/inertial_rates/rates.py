@@ -220,8 +220,7 @@ class RateVerdict:
     fitted: float
     fitted_err: float
     z_global_max: float       # pre-normalization max of gap * t**rate
-    z_tail_max: float         # max of the normalized z over the tail window
-    z_tail_ratio: float       # tail max / global max (normalized scale)
+    z_tail_ratio: float       # tail max / global max (z is normalized to max 1)
     boundedness: bool
     nonvanishing: bool
     tail_window: Tuple[float, float]
@@ -262,8 +261,7 @@ def verify_rate(
     if l1 - 0.5 * (l0 + l1) < 1.0:
         raise ValueError("verify_rate: tail half spans less than one decade")
     tail = zs.z[t >= t_mid]
-    z_tail_max = float(tail.max()) if len(tail) else 0.0
-    ratio = z_tail_max / 1.0  # z is normalized to global max 1
+    ratio = float(tail.max()) if len(tail) else 0.0
     fit = fit_exponent(traj, window=fit_window, n_bins=n_bins, t_window=fit_t_window)
     return RateVerdict(
         branch=regime.branch,
@@ -271,9 +269,8 @@ def verify_rate(
         fitted=fit.exponent,
         fitted_err=fit.stderr,
         z_global_max=zs.prenorm_max,
-        z_tail_max=z_tail_max,
         z_tail_ratio=ratio,
-        boundedness=z_tail_max <= boundedness_slack,
+        boundedness=ratio <= boundedness_slack,
         nonvanishing=ratio >= nonvanish_threshold,
         tail_window=(t_mid, float(t[-1])),
         upper_bound_proven=regime.upper_bound_proven,

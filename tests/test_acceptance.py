@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from inertial_rates.config import config_from_dict
-from inertial_rates.dynamics import OdeState, ode_rk4_step, run_ode, run_scheme
+from inertial_rates.dynamics import run_ode, run_scheme
 from inertial_rates.gridrun import run_cell
 from inertial_rates.lyapunov import (
     check_H_monotone,
@@ -261,13 +261,11 @@ def _rk4_damping_error(alpha, t0, v0, dt):
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=lambda x: 0.0,
         nominal_gamma=1.0, nominal_r=1.0,
     )
-    state = OdeState(t0, 0.0, v0)
-    for _ in range(int(round(t0 / dt))):
-        state = ode_rk4_step(state, obj, dt, alpha)
+    traj = run_ode(obj, alpha, dt, t0, int(round(t0 / dt)), x0=0.0, v0=v0, stride=1)
     T = 2.0 * t0
     v_ref = v0 * (t0 / T) ** alpha
     x_ref = v0 * t0**alpha * (T ** (1 - alpha) - t0 ** (1 - alpha)) / (1 - alpha)
-    return abs(state.x - x_ref) + abs(state.v - v_ref)
+    return abs(traj.x[-1, 0] - x_ref) + abs(traj.v[-1, 0] - v_ref)
 
 
 def _scheme_ode_discrepancy(h):

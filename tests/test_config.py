@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from inertial_rates.cli import main
 from inertial_rates.config import (
     ConfigError,
     ExperimentConfig,
@@ -76,6 +78,41 @@ def test_invalid_combinations_report_violation():
         })
 
 
+def test_seed_key_rejected():
+    # nothing in a run is random; the former seed key is now an unknown key
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
+                          "seed": 3})
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", NAN),
+    ("dt", INF),
+    ("t0", NAN),
+    ("x0", [INF]),
+    ("v0", [NAN]),
+    ("lyapunov_lambda", NAN),
+    ("lyapunov_p", -INF),
+    ("rate_override", NAN),
+    ("objective", "power:gamma=NaN,dim=1"),
+    ("objective", "power:gamma=inf,dim=1"),
+    ("objective", "plateau:gamma=2,a=NaN"),
+])
+def test_non_finite_numbers_rejected(tmp_path, key, value):
+    # json.loads accepts NaN and Infinity; the config boundary must not
+    doc = json.dumps({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
+                      "outdir": str(tmp_path / "out"), key: value})
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    path = tmp_path / "run.json"
+    path.write_text(doc)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_steps_must_be_integral():
     with pytest.raises(ConfigError, match="integer"):
         config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10.5})
@@ -84,7 +121,7 @@ def test_steps_must_be_integral():
 def test_run_config_round_trip():
     cfg = config_from_dict({
         "objective": "power:gamma=1.5,dim=1", "alpha": 1.0, "steps": 1000,
-        "h": 1e-5, "stride": 10, "seed": 3, "outdir": "results",
+        "h": 1e-5, "stride": 10, "outdir": "results",
         "rate_override": 0.857, "x0": [0.25],
     })
     again = parse_config(render_config(cfg))

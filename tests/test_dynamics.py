@@ -2,19 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inertial_rates.config import config_from_dict
-from inertial_rates.dynamics import (
-    OdeState,
-    SchemeState,
-    nesterov_step,
-    ode_rk4_step,
-    prox_nesterov_step,
-    run,
-    run_ode,
-    run_scheme,
+from inertial_rates.dynamics import MODES, run, run_ode, run_scheme
+from inertial_rates.objectives import (
+    ObjectiveSpec,
+    make_plateau,
+    make_power,
+    parse_objective,
+    prox_power,
 )
-from inertial_rates.objectives import ObjectiveSpec, make_plateau, make_power
 
 
 def _zero_objective():
@@ -33,66 +32,93 @@ def _damping_closed_form(alpha, t0, x0, v0, t):
     return x, v
 
 
+def _scheme_recurrence(step, alpha, x0, steps):
+    """x_{n+1} = step(x_n + n/(n+alpha) (x_n - x_{n-1})) from rest, written out."""
+    xs = [x0]
+    x_prev = x = x0
+    for n in range(steps):
+        y = x + (n / (n + alpha)) * (x - x_prev)
+        x_prev, x = x, step(y)
+        xs.append(x)
+    return np.array(xs)
+
+
+def _rk4_recurrence(grad, alpha, dt, t0, x0, v0, steps):
+    """Classical RK4 on (x' = v, v' = -(alpha/t) v - grad(x)), written out."""
+    xs, vs = [x0], [v0]
+    x, v = x0, v0
+
+    def acc(t, x, v):
+        return -(alpha / t) * v - grad(x)
+
+    for k in range(steps):
+        t = t0 + k * dt
+        k1x, k1v = v, acc(t, x, v)
+        k2x = v + 0.5 * dt * k1v
+        k2v = acc(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = acc(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+        k4x = v + dt * k3v
+        k4v = acc(t + dt, x + dt * k3x, k4x)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        xs.append(x)
+        vs.append(v)
+    return np.array(xs), np.array(vs)
+
+
 # ---------------------------------------------------------------------------
-# single steps
+# single steps, through stride-1 runs
 # ---------------------------------------------------------------------------
 
 def test_nesterov_step_hand_recurrence():
-    obj = make_power(2.0)
-    s0 = SchemeState(0, 1.0, 1.0, alpha=3.0, h=0.01)
-    s1 = nesterov_step(s0, obj)
-    assert s1.x_curr == pytest.approx(0.98, rel=1e-15)
-    s2 = nesterov_step(s1, obj)
+    traj = run_scheme(make_power(2.0), alpha=3.0, h=0.01, steps=2, x0=1.0, stride=1)
+    assert traj.x[1, 0] == pytest.approx(0.98, rel=1e-15)
     # y_1 = 0.98 + (1/4)(0.98 - 1) = 0.975; x_2 = 0.975 - 0.01*1.95
-    assert s2.x_curr == pytest.approx(0.9555, rel=1e-15)
-    assert s2.n == 2 and s2.x_prev == s1.x_curr
+    assert traj.x[2, 0] == pytest.approx(0.9555, rel=1e-15)
+    assert list(traj.n) == [0, 1, 2]
+    assert traj.v[2, 0] == (traj.x[2, 0] - traj.x[1, 0]) / 0.1
 
 
 def test_nesterov_step_fixed_point_at_minimizer():
-    obj = make_power(2.0)
-    s = SchemeState(5, 0.0, 0.0, alpha=3.0, h=0.1)
-    s = nesterov_step(s, obj)
-    assert s.x_curr == 0.0
+    traj = run_scheme(make_power(2.0), alpha=3.0, h=0.1, steps=10, x0=0.0, stride=1)
+    assert np.all(traj.x == 0.0) and np.all(traj.v == 0.0)
 
 
 def test_prox_step_soft_threshold_kills_small_state():
-    obj = make_power(1.0)
-    s = SchemeState(0, 0.05, 0.05, alpha=3.0, h=0.1)
-    s = prox_nesterov_step(s, obj)
-    assert s.x_curr == 0.0
+    traj = run_scheme(make_power(1.0), alpha=3.0, h=0.1, steps=1, x0=0.05, stride=1,
+                      use_prox=True)
+    assert traj.x[1, 0] == 0.0
 
 
 def test_prox_step_quadratic_shrink():
-    obj = make_power(2.0)
-    s = SchemeState(0, 3.0, 3.0, alpha=3.0, h=0.5)
-    s = prox_nesterov_step(s, obj)
-    assert s.x_curr == pytest.approx(1.5)
+    traj = run_scheme(make_power(2.0), alpha=3.0, h=0.5, steps=1, x0=3.0, stride=1,
+                      use_prox=True)
+    assert traj.x[1, 0] == pytest.approx(1.5)
 
 
 def test_prox_step_zero_is_fixed():
-    obj = make_power(1.5)
-    s = SchemeState(0, 0.0, 0.0, alpha=3.0, h=0.5)
-    assert prox_nesterov_step(s, obj).x_curr == 0.0
+    traj = run_scheme(make_power(1.5), alpha=3.0, h=0.5, steps=1, x0=0.0, stride=1,
+                      use_prox=True)
+    assert traj.x[1, 0] == 0.0
 
 
 def test_prox_step_requires_prox():
     obj = _zero_objective()
     obj = ObjectiveSpec(**{**obj.__dict__, "prox": None})
     with pytest.raises(ValueError):
-        prox_nesterov_step(SchemeState(0, 1.0, 1.0, 3.0, 0.1), obj)
+        run_scheme(obj, alpha=3.0, h=0.1, steps=1, x0=1.0, use_prox=True)
 
 
 def test_rk4_step_matches_pure_damping():
     obj = _zero_objective()
     alpha, t0, v0 = 3.0, 1.0, 1.0
     dt = 0.01
-    state = OdeState(t0, 0.0, v0)
     steps = int(round(t0 / dt))  # integrate to t = 2*t0
-    for _ in range(steps):
-        state = ode_rk4_step(state, obj, dt, alpha)
+    traj = run_ode(obj, alpha, dt, t0, steps, x0=0.0, v0=v0, stride=1)
     x_ref, v_ref = _damping_closed_form(alpha, t0, 0.0, v0, 2.0 * t0)
-    assert state.v == pytest.approx(v_ref, abs=5.0 * dt**4)
-    assert state.x == pytest.approx(x_ref, abs=5.0 * dt**4)
+    assert traj.v[-1, 0] == pytest.approx(v_ref, abs=5.0 * dt**4)
+    assert traj.x[-1, 0] == pytest.approx(x_ref, abs=5.0 * dt**4)
 
 
 def test_rk4_fourth_order_on_damping_oracle():
@@ -101,28 +127,27 @@ def test_rk4_fourth_order_on_damping_oracle():
     x_ref, v_ref = _damping_closed_form(alpha, t0, 0.0, v0, 2.0)
 
     def err(dt):
-        state = OdeState(t0, 0.0, v0)
-        for _ in range(int(round(1.0 / dt))):
-            state = ode_rk4_step(state, obj, dt, alpha)
-        return abs(state.x - x_ref) + abs(state.v - v_ref)
+        traj = run_ode(obj, alpha, dt, t0, int(round(1.0 / dt)), x0=0.0, v0=v0, stride=1)
+        return abs(traj.x[-1, 0] - x_ref) + abs(traj.v[-1, 0] - v_ref)
 
     e1, e2 = err(0.02), err(0.01)
     assert math.log2(e1 / e2) >= 3.9
 
 
 def test_rk4_equilibrium_is_constant():
-    obj = make_power(2.0)
-    state = OdeState(1.0, 0.0, 0.0)
-    state = ode_rk4_step(state, obj, 0.05, alpha=4.0)
-    assert state.x == 0.0 and state.v == 0.0 and state.t == 1.05
+    traj = run_ode(make_power(2.0), alpha=4.0, dt=0.05, t0=1.0, steps=1, x0=0.0, v0=0.0,
+                   stride=1)
+    assert traj.x[1, 0] == 0.0 and traj.v[1, 0] == 0.0 and traj.t[1] == 1.05
 
 
 def test_rk4_rejects_bad_alpha_and_dt():
     obj = make_power(2.0)
     with pytest.raises(ValueError):
-        ode_rk4_step(OdeState(1.0, 1.0, 0.0), obj, 0.1, alpha=0.0)
+        run_ode(obj, alpha=0.0, dt=0.1, t0=1.0, steps=1, x0=1.0)
     with pytest.raises(ValueError):
-        ode_rk4_step(OdeState(0.05, 1.0, 0.0), obj, 0.1, alpha=3.0)
+        run_ode(obj, alpha=3.0, dt=0.0, t0=1.0, steps=1, x0=1.0)
+    with pytest.raises(ValueError):
+        run_ode(obj, alpha=3.0, dt=0.1, t0=0.0, steps=1, x0=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +157,26 @@ def test_rk4_rejects_bad_alpha_and_dt():
 def test_run_scheme_matches_single_steps():
     obj = make_power(2.0)
     traj = run_scheme(obj, alpha=3.0, h=0.01, steps=50, x0=1.0, stride=1)
-    s = SchemeState(0, 1.0, 1.0, alpha=3.0, h=0.01)
-    xs = [s.x_curr]
-    for _ in range(50):
-        s = nesterov_step(s, obj)
-        xs.append(s.x_curr)
-    assert np.array_equal(traj.x[:, 0], np.array(xs))
+    xs = _scheme_recurrence(lambda y: y - 0.01 * (2.0 * y), 3.0, 1.0, 50)
+    assert np.array_equal(traj.x[:, 0], xs)
 
 
 def test_run_prox_scheme_matches_single_steps():
     obj = make_power(1.5)
     traj = run_scheme(obj, alpha=2.0, h=0.05, steps=30, x0=0.7, stride=1, use_prox=True)
-    s = SchemeState(0, 0.7, 0.7, alpha=2.0, h=0.05)
-    xs = [s.x_curr]
-    for _ in range(30):
-        s = prox_nesterov_step(s, obj)
-        xs.append(s.x_curr)
-    assert np.array_equal(traj.x[:, 0], np.array(xs))
+    xs = _scheme_recurrence(lambda y: prox_power(1.5, 0.05, y), 2.0, 0.7, 30)
+    assert np.array_equal(traj.x[:, 0], xs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_run_ode_matches_rk4_recurrence(dim):
+    obj = make_power(3.0, dim)
+    x0 = 0.8 if dim == 1 else np.array([0.8, -0.3])
+    v0 = 0.1 if dim == 1 else np.array([0.1, 0.2])
+    traj = run_ode(obj, alpha=4.0, dt=0.01, t0=0.5, steps=40, x0=x0, v0=v0, stride=1)
+    xs, vs = _rk4_recurrence(obj.gradient, 4.0, 0.01, 0.5, x0, v0, 40)
+    assert np.array_equal(traj.x, xs.reshape(-1, dim))
+    assert np.array_equal(traj.v, vs.reshape(-1, dim))
 
 
 def test_one_step_run_has_two_records():
@@ -261,3 +289,90 @@ def test_run_vector_dimension():
     traj = run(cfg, cfg.build_objective())
     assert traj.x.shape[1] == 3
     assert traj.gap[-1] < traj.gap[0]
+
+
+# ---------------------------------------------------------------------------
+# divergence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_in_objective_aborts_with_marker():
+    def grad(x):
+        raise OverflowError(34, "Numerical result out of range")
+
+    obj = ObjectiveSpec(**{**_zero_objective().__dict__, "gradient": grad})
+    for traj in (
+        run_scheme(obj, alpha=3.0, h=0.1, steps=100, x0=1.0, stride=10),
+        run_ode(obj, alpha=3.0, dt=0.1, t0=1.0, steps=100, x0=1.0, stride=10),
+    ):
+        assert traj.error == "non-finite state at step 1"
+        assert list(traj.n) == [0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, h, x0, last", [
+    ("power:gamma=3,dim=1", 10.0, 5.0, 7),        # the gap of x_7 overflows a float
+    ("power:gamma=4,dim=2", 1.0, [5.0, 0.0], 5),  # diverges before the first stride point
+])
+def test_diverging_scheme_records_last_finite_state(spec, h, x0, last):
+    traj = run_scheme(parse_objective(spec), alpha=3.0, h=h, steps=1000, x0=x0, stride=100)
+    assert traj.error == f"non-finite state at step {last + 1}"
+    assert list(traj.n) == [0, last]
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.v))
+    assert traj.gap[-1] == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diverging_rk4_reports_step_in_every_dimension(dim):
+    x0 = 5.0 if dim == 1 else [5.0, 0.0]
+    traj = run_ode(make_power(4.0, dim), alpha=3.0, dt=0.5, t0=0.5, steps=1000, x0=x0,
+                   stride=100)
+    assert traj.error == "non-finite state at step 4"
+    assert list(traj.n) == [0, 3]
+    assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.v))
+
+
+# ---------------------------------------------------------------------------
+# float and array forms of the loops
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    log_step=st.floats(-5.0, -2.0),
+    x0_abs=st.floats(1e-3, 2.0),
+    x0_sign=st.sampled_from([-1.0, 1.0]),
+    v0=st.floats(-1.0, 1.0),
+)
+def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0_abs,
+                                                x0_sign, v0):
+    """power at dim 1 against power at dim 3 started on the first axis: the
+    off-axis components stay exactly 0.  The gradient loops agree bit for bit
+    for gamma 2 and 3 (pow-free gradients); gamma 1.5 and every prox run
+    (the radial prox rescales y by prox(|y|)/|y|, which rounds differently
+    from the scalar prox) agree to a bounded relative drift.
+
+    |x0| stays above 1e-3: the radial norm underflows to 0 below ~1e-154,
+    where the dim-3 objective is flat and the dim-1 one is not.
+    """
+    steps, step, x0 = 500, 10.0 ** log_step, x0_sign * x0_abs
+    flat, radial = make_power(gamma, 1), make_power(gamma, 3)
+    if mode == "ode-rk4":
+        dt = step
+        a = run_ode(flat, alpha, dt, 0.1, steps, x0, v0, stride=1)
+        b = run_ode(radial, alpha, dt, 0.1, steps, [x0, 0.0, 0.0], [v0, 0.0, 0.0], stride=1)
+    else:
+        prox = mode == "prox-nesterov"
+        a = run_scheme(flat, alpha, step, steps, x0, stride=1, use_prox=prox)
+        b = run_scheme(radial, alpha, step, steps, [x0, 0.0, 0.0], stride=1, use_prox=prox)
+    assert a.error is None and b.error is None
+    assert np.all(b.x[:, 1:] == 0.0) and np.all(b.v[:, 1:] == 0.0)
+    if gamma in (2.0, 3.0) and mode != "prox-nesterov":
+        assert np.array_equal(a.x, b.x[:, :1]) and np.array_equal(a.v, b.v[:, :1])
+    else:
+        for p, q in ((a.x, b.x[:, :1]), (a.v, b.v[:, :1])):
+            scale = float(np.max(np.abs(p))) or 1.0
+            assert float(np.max(np.abs(p - q))) <= 1e-9 * scale

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from inertial_rates import io
 from inertial_rates.cli import main
 from inertial_rates.config import config_from_dict, parse_config
 from inertial_rates.gridrun import run_cell, run_grid, worker_count
@@ -87,6 +88,23 @@ def test_run_cell_short_ode_run_reports_unassessed_verdict(tmp_path):
     assert verdict["fitted"] is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("objective, h, x0", [
+    ("power:gamma=3,dim=1", 10.0, [5.0]),       # the last finite gap overflows a float
+    ("power:gamma=4,dim=2", 1.0, [5.0, 0.0]),   # diverges before the first stride point
+])
+def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
+    cfg = config_from_dict({
+        "objective": objective, "alpha": 3.0, "steps": 1000, "h": h, "x0": x0,
+        "stride": 100,
+    })
+    res = run_cell(cfg, str(tmp_path))
+    assert res.error is not None and res.error.startswith("non-finite state at step")
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["trajectory_error"] == res.error
+    assert verdict["passed"] is False
+
+
 def test_run_grid_marks_failed_cells(tmp_path, monkeypatch):
     # sabotage one cell through an unreadable lsq file at expansion-free level:
     # a cell whose objective file disappears between parse and run
@@ -131,6 +149,27 @@ def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("INERTIAL_RATES_WORKERS", "zero")
     with pytest.raises(ValueError):
         worker_count(2)
+
+
+# ---------------------------------------------------------------------------
+# csv
+# ---------------------------------------------------------------------------
+
+def test_csv_writer_blocks_match_fmt(tmp_path):
+    """One row more than a block: every cell is %d or io.fmt of its value."""
+    rows = io._BLOCK_ROWS + 1
+    rng = np.random.default_rng(5)
+    n = np.arange(rows, dtype=np.int64) * 7
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    x[:4] = [0.0, -0.0, np.inf, np.nan]
+    path = tmp_path / "cols.csv"
+    io._write_columns(str(path), ["n", "x", "y"], [n, x, x[::-1]])
+    lines = path.read_text().split("\n")
+    assert lines[0] == "n,x,y" and lines[-1] == ""
+    body = lines[1:-1]
+    assert len(body) == rows
+    for i, line in enumerate(body):
+        assert line == f"{n[i]},{io.fmt(x[i])},{io.fmt(x[rows - 1 - i])}"
 
 
 # ---------------------------------------------------------------------------
