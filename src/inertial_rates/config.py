@@ -20,6 +20,9 @@ DEFAULT_H = 1e-5
 DEFAULT_DT = 1e-3
 DEFAULT_T0 = 0.1
 DEFAULT_STRIDE = 100
+# recorded samples per run (steps // stride + 2 at most); each costs memory
+# whether or not the run steps to the end
+MAX_RECORDS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -84,6 +87,18 @@ def _as_point(value, name: str) -> Tuple[float, ...]:
     raise ConfigError(f"{name} must be a number or list of numbers, got {value!r}")
 
 
+def _as_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _as_optional_float(raw: dict, name: str) -> Optional[float]:
+    value = raw.get(name)
+    return None if value is None else _as_float(value, name)
+
+
 def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -98,11 +113,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        objective = raw["objective"]
-        alpha = float(raw["alpha"])
-        steps = _as_int(raw["steps"], "steps")
+        objective, alpha, steps = raw["objective"], raw["alpha"], raw["steps"]
     except KeyError as exc:
         raise ConfigError(f"missing required config key {exc}") from None
+    alpha = _as_float(alpha, "alpha")
+    steps = _as_int(steps, "steps")
     try:
         obj = parse_objective(objective)
     except (ValueError, OSError) as exc:
@@ -115,20 +130,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         alpha=alpha,
         steps=steps,
         mode=mode,
-        h=float(raw.get("h", DEFAULT_H)),
-        dt=float(raw.get("dt", DEFAULT_DT)),
-        t0=float(raw.get("t0", DEFAULT_T0)),
+        h=_as_float(raw.get("h", DEFAULT_H), "h"),
+        dt=_as_float(raw.get("dt", DEFAULT_DT), "dt"),
+        t0=_as_float(raw.get("t0", DEFAULT_T0), "t0"),
         x0=_as_point(raw.get("x0", (0.5,) * obj.dim), "x0"),
         v0=_as_point(raw.get("v0", (0.0,) * obj.dim), "v0"),
         stride=_as_int(raw.get("stride", DEFAULT_STRIDE), "stride"),
-        rate_override=(
-            None if raw.get("rate_override") is None else float(raw["rate_override"])
-        ),
+        rate_override=_as_optional_float(raw, "rate_override"),
         lyapunov=raw.get("lyapunov", "auto-sharp"),
-        lyapunov_lambda=(
-            None if raw.get("lyapunov_lambda") is None else float(raw["lyapunov_lambda"])
-        ),
-        lyapunov_p=(None if raw.get("lyapunov_p") is None else float(raw["lyapunov_p"])),
+        lyapunov_lambda=_as_optional_float(raw, "lyapunov_lambda"),
+        lyapunov_p=_as_optional_float(raw, "lyapunov_p"),
         outdir=str(raw.get("outdir", "out")),
     )
     validate_config(cfg, obj)
@@ -151,6 +162,11 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     if cfg.stride < 1:
         raise ConfigError(f"stride must be >= 1, got {cfg.stride}")
+    if cfg.steps // cfg.stride + 2 > MAX_RECORDS:
+        raise ConfigError(
+            f"steps // stride + 2 = {cfg.steps // cfg.stride + 2} records exceed "
+            f"{MAX_RECORDS}; raise stride or lower steps"
+        )
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     if cfg.mode == "prox-nesterov" and obj.prox is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -57,18 +58,26 @@ class Trajectory:
 
 
 def _point_form(dim: int):
-    """(point conversion, zero velocity, finiteness test) for one dimension.
+    """(point conversion, zero velocity, finiteness test, bit-equality test)
+    for one dimension.
 
     Dimension 1 runs on Python floats, higher dimensions on float arrays; the
     loops below are written once for both.  Steps never update a point in
-    place, so recorded points need no copy.
+    place, so recorded points need no copy.  Bit equality is value equality
+    plus equal sign bits (-0.0 == 0.0 but the two step differently).
     """
     if dim == 1:
-        return lambda p: float(np.asarray(p).reshape(())), 0.0, math.isfinite
+        return (
+            lambda p: float(np.asarray(p).reshape(())),
+            0.0,
+            math.isfinite,
+            lambda a, b: a == b and math.copysign(1.0, a) == math.copysign(1.0, b),
+        )
     return (
         lambda p: np.array(p, dtype=float).reshape(dim),
         np.zeros(dim),
         lambda p: bool(np.isfinite(p).all()),
+        lambda a, b: a.tobytes() == b.tobytes(),
     )
 
 
@@ -86,6 +95,18 @@ class _Recorder:
         self.ns.append(n)
         self.xs.append(x)
         self.vs.append(v)
+
+    def fill(self, start: int, stop: int, stride: int, x, v) -> None:
+        """Record (x, v) at every multiple of ``stride`` in [start, stop], and
+        at ``stop`` itself."""
+        first = -(-start // stride) * stride
+        ns = range(first, stop + 1, stride)
+        count = len(ns) + (stop % stride != 0)
+        self.ns.extend(ns)
+        if stop % stride:
+            self.ns.append(stop)
+        self.xs.extend(repeat(x, count))
+        self.vs.extend(repeat(v, count))
 
     def trajectory(self, obj: ObjectiveSpec, error, t_scale: float, **fields) -> Trajectory:
         """The samples as a Trajectory with times t0 + n*t_scale."""
@@ -111,36 +132,55 @@ def run_scheme(
 
     Each step extrapolates with factor n/(n+alpha), then takes a gradient
     step (or a proximal step with ``use_prox``).  Records every
-    ``stride``-th state plus first and last.  A non-finite state, or an
-    OverflowError from the objective, aborts the run; the partial trajectory
-    carries an error marker and the last finite state as its final record.
+    ``stride``-th state plus first and last; the loop steps one record
+    interval at a time.  A non-finite state, or an OverflowError from the
+    objective, aborts the run; the partial trajectory carries an error marker
+    and the last finite state as its final record.
+
+    Exact fixed points end the stepping early.  When x_n and x_{n-1} are
+    identical bit for bit (sign bits included), x_n - x_{n-1} is +0.0 in
+    every component, so the extrapolated point y_n = x_n + m*(+0.0) does not
+    depend on n, and neither does the next state.  If that step then returns
+    x_n bit for bit, every later step would too: the remaining records are
+    filled with x_n and the velocity +0.0 without stepping, and the
+    trajectory is the one that stepping to the end would have recorded.
     """
     if alpha <= 0.0 or h <= 0.0 or steps < 1 or stride < 1:
         raise ValueError("run_scheme requires alpha > 0, h > 0, steps >= 1, stride >= 1")
     if use_prox and obj.prox is None:
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
-    point, zero, finite = _point_form(obj.dim)
+    point, zero, finite, same = _point_form(obj.dim)
     grad, prox = obj.gradient, obj.prox
     x = xp = point(x0)
     rec = _Recorder(obj.dim)
     rec.add(0, x, zero)
     error = None
-    for n in range(steps):
-        m = n / (n + alpha)
-        y = x + m * (x - xp)
-        try:
-            xn = prox(h, y) if use_prox else y - h * grad(y)
-        except OverflowError:
-            xn = math.nan
-        if not finite(xn):
-            error = f"non-finite state at step {n + 1}"
-            if n % stride:
-                rec.add(n, x, (x - xp) / sqrt_h)
+    k = 0
+    while k < steps:
+        # at rest, take one step alone: if it returns x, x is a fixed point
+        at_rest = same(x, xp)
+        end = k + 1 if at_rest else min(k - k % stride + stride, steps)
+        for n in range(k, end):
+            m = n / (n + alpha)
+            y = x + m * (x - xp)
+            try:
+                xn = prox(h, y) if use_prox else y - h * grad(y)
+            except OverflowError:
+                xn = math.nan
+            if not finite(xn):
+                error = f"non-finite state at step {n + 1}"
+                if n % stride:
+                    rec.add(n, x, (x - xp) / sqrt_h)
+                break
+            xp = x
+            x = xn
+        if error is not None:
             break
-        xp = x
-        x = xn
-        k = n + 1
+        k = end
+        if at_rest and same(x, xp):
+            rec.fill(k, steps, stride, x, (x - xp) / sqrt_h)
+            break
         if k % stride == 0 or k == steps:
             rec.add(k, x, (x - xp) / sqrt_h)
     return rec.trajectory(
@@ -171,7 +211,7 @@ def run_ode(
     if t0 <= 0.0:
         raise ValueError(f"run_ode requires t0 > 0, got {t0}")
     t0 = max(t0, dt)
-    point, zero, finite = _point_form(obj.dim)
+    point, zero, finite, _ = _point_form(obj.dim)
     grad = obj.gradient
     x = point(x0)
     v = zero if v0 is None else point(v0)

@@ -89,6 +89,12 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
         traj = dynamics.run(cfg, obj)
         io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
         gamma = obj.nominal_gamma
+        if len(traj) == 1:
+            # diverged at its first step: no record with t > 0 to assess
+            vdict = io.verdict_to_dict(None, cfg.objective, cfg.alpha, gamma)
+            vdict["trajectory_error"] = traj.error
+            io.write_json(vdict, os.path.join(out, "verdict.json"))
+            return CellResult(label, cfg, vdict, None, error=traj.error)
         regime = rates.theoretical_rate(cfg.alpha, gamma)
         rate = regime.exponent if cfg.rate_override is None else cfg.rate_override
         params = lyapunov_params_for(cfg, gamma)

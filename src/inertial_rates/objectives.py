@@ -139,8 +139,18 @@ def _safe_pow(coef: float, u: float, e: float) -> float:
         return math.inf
 
 
+def _norm(x):
+    """np.linalg.norm, rescaled by max|x_i| when it underflows to 0 at a
+    nonzero point (|x| below ~1e-154); every other point keeps its bits."""
+    n = np.linalg.norm(x)
+    if n == 0.0 and np.any(x):
+        s = np.max(np.abs(x))
+        n = s * np.linalg.norm(np.asarray(x) / s)
+    return n
+
+
 def _prox_power_radial(gamma: float, h: float, y: np.ndarray) -> np.ndarray:
-    ny = float(np.linalg.norm(y))
+    ny = float(_norm(y))
     if ny == 0.0:
         return np.zeros_like(y)
     return (prox_power(gamma, h, ny) / ny) * y
@@ -183,16 +193,16 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         hint: object = 0.0
     else:
         def value(x, _g=gamma):
-            return float(np.linalg.norm(x) ** _g)
+            return float(_norm(x) ** _g)
 
         def gradient(x, _g=gamma):
-            n = float(np.linalg.norm(x))
+            n = float(_norm(x))
             if n == 0.0:
                 return np.zeros_like(x)
             return (_g * n ** (_g - 2.0)) * x
 
         prox = lambda h, y: _prox_power_radial(gamma, h, y)
-        dist = lambda x: float(np.linalg.norm(x))
+        dist = lambda x: float(_norm(x))
         hint = np.zeros(dim)
     return ObjectiveSpec(
         name=name,

@@ -5,13 +5,16 @@ run_scheme/run_ode positionally; a renamed or deleted function would break
 `bench/run_bench.py --trace 1` without failing any package test.
 """
 import importlib.util
+import json
+import random
 from pathlib import Path
 
 import pytest
 
 import inertial_rates
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +56,15 @@ def test_tracer_installs_and_restores(tracing, tmp_path):
     names = {sp.name for sp in tracer.take()}
     assert {"run", "write_trajectory_csv", "write_energy_csv", "write_z_csv"} <= names
     assert all(getattr(m, a) is f for (m, a), f in originals.items())
+
+
+@pytest.mark.parametrize("workload", ["sharp-prox-record", "flat-band-grid"])
+def test_workload_documents_pass_config_validation(workload, monkeypatch):
+    """The benchmark's documents (2e5 records, 1,001 records per cell) stay
+    inside the config boundary's record cap."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    doc, _ = module.WORKLOADS[workload](random.Random(1))
+    inertial_rates.parse_config(json.dumps(doc))

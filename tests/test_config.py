@@ -5,6 +5,7 @@ import pytest
 
 from inertial_rates.cli import main
 from inertial_rates.config import (
+    MAX_RECORDS,
     ConfigError,
     ExperimentConfig,
     GridSpec,
@@ -111,6 +112,43 @@ def test_non_finite_numbers_rejected(tmp_path, key, value):
     path.write_text(doc)
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["alpha", "h", "dt", "t0", "steps", "stride", "x0"])
+def test_null_numbers_rejected(tmp_path, key):
+    doc = json.dumps({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
+                      "outdir": str(tmp_path / "out"), key: None})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+    path = tmp_path / "run.json"
+    path.write_text(doc)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_optional_numbers_mean_unset():
+    cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
+                            "rate_override": None, "lyapunov_lambda": None,
+                            "lyapunov_p": None})
+    assert cfg.rate_override is None and cfg.lyapunov_lambda is None
+    assert cfg.lyapunov_p is None
+
+
+def test_record_count_is_capped(tmp_path):
+    doc = json.dumps({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10**9,
+                      "stride": 1, "outdir": str(tmp_path / "out")})
+    with pytest.raises(ConfigError, match=r"steps // stride") as info:
+        parse_config(doc)
+    assert str(MAX_RECORDS) in str(info.value)
+    path = tmp_path / "run.json"
+    path.write_text(doc)
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    # the cap sits exactly at steps // stride + 2 == MAX_RECORDS
+    base = {"objective": "power:gamma=2,dim=1", "alpha": 6, "stride": 1}
+    config_from_dict({**base, "steps": MAX_RECORDS - 2})
+    with pytest.raises(ConfigError):
+        config_from_dict({**base, "steps": MAX_RECORDS - 1})
 
 
 def test_steps_must_be_integral():

@@ -292,6 +292,102 @@ def test_run_vector_dimension():
 
 
 # ---------------------------------------------------------------------------
+# exact fixed points: records filled without stepping
+# ---------------------------------------------------------------------------
+
+def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, stride):
+    """Every record of traj (n, x, v, gap, sign bits included) equals the
+    written-out recurrence stepped to the end."""
+    if use_prox:
+        step = lambda y: obj.prox(h, y)
+    else:
+        step = lambda y: y - h * obj.gradient(y)
+    xs = _scheme_recurrence(step, alpha, x0, steps).reshape(steps + 1, obj.dim)
+    ns = list(range(0, steps + 1, stride)) + ([steps] if steps % stride else [])
+    vs = np.zeros_like(xs)
+    vs[1:] = (xs[1:] - xs[:-1]) / math.sqrt(h)
+    points = xs[ns, 0].tolist() if obj.dim == 1 else xs[ns]
+    gaps = np.array([obj.value(p) - obj.f_star for p in points])
+    assert traj.error is None
+    assert list(traj.n) == ns
+    for got, want in ((traj.x, xs[ns]), (traj.v, vs[ns]), (traj.gap, gaps)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_FIXED_POINT_CASES = [
+    (f"power:gamma={gamma:g},dim={dim}", use_prox)
+    for dim in (1, 3)
+    for gamma, use_prox in ((1.0, True), (1.5, True), (2.0, True), (2.0, False))
+] + [("plateau:gamma=2,a=1", False), ("plateau:gamma=2,a=1", True)]
+
+
+@pytest.mark.parametrize("spec, use_prox", _FIXED_POINT_CASES)
+@settings(max_examples=15, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    h=st.floats(0.01, 0.45),
+    x0=st.sampled_from([0.0, -0.0])
+    | st.floats(-310.0, -3.0).map(lambda e: 10.0 ** e)
+    | st.floats(0.1, 1.0),
+    negative=st.booleans(),
+    stride=st.integers(1, 50),
+    intervals=st.integers(0, 40),
+    offset=st.integers(0, 49),
+)
+def test_fixed_point_fast_path_matches_recurrence(spec, use_prox, alpha, h, x0, negative,
+                                                  stride, intervals, offset):
+    """Objectives whose scheme runs reach an exact fixed point (prox runs
+    extinguish, gradient steps on x^2 underflow, a plateau start is at rest
+    on the minimizer set), from +-0.0, tiny and O(1) starts (inside the
+    plateau's [-1, 1]), with steps on and off a stride multiple."""
+    obj = parse_objective(spec)
+    x0 = -x0 if negative else x0
+    start = x0 if obj.dim == 1 else np.array([x0, -0.5 * x0, 0.25 * x0])
+    steps = intervals * stride + offset % stride or stride
+    traj = run_scheme(obj, alpha, h, steps, start, stride=stride, use_prox=use_prox)
+    _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, start, steps, stride)
+
+
+def test_frozen_run_stops_stepping():
+    """The Fig. 5 prox run extinguishes x near step 41,160; the steps after
+    that are not taken, and the records are still those of the recurrence."""
+    obj = make_power(1.5)
+    calls = [0]
+
+    def prox(h, y):
+        calls[0] += 1
+        return obj.prox(h, y)
+
+    counted = ObjectiveSpec(**{**obj.__dict__, "prox": prox})
+    traj = run_scheme(counted, alpha=1.0, h=1e-5, steps=200_000, x0=0.6, stride=10,
+                      use_prox=True)
+    assert calls[0] < 42_000
+    _assert_records_match_recurrence(traj, obj, True, 1.0, 1e-5, 0.6, 200_000, 10)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_zeros_of_opposite_sign_are_not_at_rest(dim):
+    """-0.0 == 0.0, yet x = -0.0 after x_prev = +0.0 is not at rest: a soft
+    threshold that keeps the sign of a zero maps y = -0.0 + m*(-0.0) to -0.0
+    once, and the step after that (y = -0.0 + m*(+0.0) = +0.0) to +0.0."""
+    if dim == 1:
+        prox = lambda h, y: math.copysign(max(abs(y) - h, 0.0), y)
+    else:
+        prox = lambda h, y: np.copysign(np.maximum(np.abs(y) - h, 0.0), y)
+    obj = ObjectiveSpec(
+        name="signed-soft-threshold", dim=dim, value=lambda x: float(np.sum(np.abs(x))),
+        gradient=np.sign, f_star=0.0, minimizer_hint=0.0, distance_to_minset=abs,
+        nominal_gamma=1.0, nominal_r=1.0, prox=prox,
+    )
+    # x_0 = h/2 > 0, x_1 = +0.0, x_2 = -0.0 (from y_1 = -h/2 * m), x_3 = -0.0, x_4 = +0.0
+    x0 = 0.05 if dim == 1 else np.full(dim, 0.05)
+    traj = run_scheme(obj, alpha=3.0, h=0.1, steps=12, x0=x0, stride=1, use_prox=True)
+    assert np.all(np.signbit(traj.x[2:4])) and not np.any(np.signbit(traj.x[4:]))
+    _assert_records_match_recurrence(traj, obj, True, 3.0, 0.1, x0, 12, 1)
+
+
+# ---------------------------------------------------------------------------
 # divergence
 # ---------------------------------------------------------------------------
 

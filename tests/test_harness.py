@@ -92,6 +92,7 @@ def test_run_cell_short_ode_run_reports_unassessed_verdict(tmp_path):
 @pytest.mark.parametrize("objective, h, x0", [
     ("power:gamma=3,dim=1", 10.0, [5.0]),       # the last finite gap overflows a float
     ("power:gamma=4,dim=2", 1.0, [5.0, 0.0]),   # diverges before the first stride point
+    ("power:gamma=4,dim=1", 1.0, [1e103]),      # diverges at its first step
 ])
 def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     cfg = config_from_dict({
@@ -103,6 +104,7 @@ def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["trajectory_error"] == res.error
     assert verdict["passed"] is False
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_run_grid_marks_failed_cells(tmp_path, monkeypatch):

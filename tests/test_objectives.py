@@ -174,6 +174,22 @@ def test_prox_radial_matches_scalar():
     assert np.allclose(z, y / 5.0 * mag)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("r", [6.3e-174, 1e-200])
+def test_radial_power_below_norm_underflow_matches_dim1(gamma, r):
+    """np.linalg.norm underflows to 0 below ~1e-154; on an axis the radial
+    value, gradient and prox must still match the 1-D objective there."""
+    flat, radial = make_power(gamma, 1), make_power(gamma, 3)
+    for x in (r, -r):
+        on_axis = np.array([0.0, x, 0.0])
+        assert radial.value(on_axis) == pytest.approx(flat.value(x), rel=1e-12, abs=0.0)
+        assert radial.distance_to_minset(on_axis) == pytest.approx(r, rel=1e-12, abs=0.0)
+        for got, want in ((radial.gradient(on_axis), flat.gradient(x)),
+                          (radial.prox(1e-3, on_axis), flat.prox(1e-3, x))):
+            assert got[0] == 0.0 and got[2] == 0.0
+            assert got[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(1.0, 6.0),
