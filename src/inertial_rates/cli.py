@@ -11,13 +11,13 @@ import sys
 from typing import Optional
 
 from . import gridrun, rates
-from .dynamics import MODES
 from .config import (
+    RUN_SCHEMA,
     ConfigError,
     ExperimentConfig,
-    GridSpec,
     config_from_dict,
     load_config,
+    parse_document,
 )
 from .objectives import parse_objective, probe_h1, probe_h2
 
@@ -30,22 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--config", help="JSON run config file")
-    run.add_argument("--objective", help="e.g. power:gamma=2,dim=1")
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--steps", type=float)
-    run.add_argument("--mode", choices=("auto",) + MODES, default=None)
-    run.add_argument("--h", type=float, default=None)
-    run.add_argument("--dt", type=float, default=None)
-    run.add_argument("--t0", type=float, default=None)
-    run.add_argument("--x0", default=None, help="comma-separated coordinates")
-    run.add_argument("--v0", default=None, help="comma-separated coordinates")
-    run.add_argument("--stride", type=float, default=None)
-    run.add_argument("--rate-override", type=float, default=None)
-    run.add_argument("--lyapunov", default=None, help="auto-sharp | auto-flat | manual")
-    run.add_argument("--lyapunov-lambda", type=float, default=None)
-    run.add_argument("--lyapunov-p", type=float, default=None)
-    run.add_argument("--outdir", default=None)
+    run.add_argument("--config", help="JSON run config file; the flags below override its keys")
+    for key in RUN_SCHEMA:
+        run.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS)
 
     grid = sub.add_parser("grid", help="run a grid of (alpha, gamma) cells")
     grid.add_argument("--config", required=True, help="JSON grid config file")
@@ -75,30 +62,31 @@ def _point_arg(text: Optional[str]):
     return [float(p) for p in text.split(",")]
 
 
+def _flag_value(key: str, text: str):
+    """A run flag's JSON value: the text where the key takes a string, else the
+    number or comma-separated numbers it spells (or the text, to be rejected)."""
+    try:
+        return RUN_SCHEMA[key](text, key)
+    except ConfigError:
+        try:
+            numbers = _point_arg(text)
+        except ValueError:
+            return text
+    return numbers[0] if len(numbers) == 1 else numbers
+
+
 def _cmd_run(args) -> int:
+    raw = {}
     if args.config:
-        cfg = load_config(args.config)
-        if isinstance(cfg, GridSpec):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = parse_document(fh.read())
+        if "grid" in raw:
             raise ConfigError("got a grid config; use the 'grid' subcommand")
-    else:
-        if not (args.objective and args.alpha is not None and args.steps is not None):
-            raise ConfigError("run needs --config or --objective/--alpha/--steps")
-        raw = {"objective": args.objective, "alpha": args.alpha, "steps": args.steps}
-        for key, val in (
-            ("mode", args.mode), ("h", args.h), ("dt", args.dt), ("t0", args.t0),
-            ("x0", _point_arg(args.x0)), ("v0", _point_arg(args.v0)),
-            ("stride", args.stride), ("rate_override", args.rate_override),
-            ("lyapunov", args.lyapunov),
-            ("lyapunov_lambda", args.lyapunov_lambda), ("lyapunov_p", args.lyapunov_p),
-            ("outdir", args.outdir),
-        ):
-            if val is not None:
-                raw[key] = val
-        cfg = config_from_dict(raw)
+    raw.update((k, _flag_value(k, v)) for k, v in vars(args).items() if k in RUN_SCHEMA)
+    cfg = config_from_dict(raw)
     for w in cfg.warnings():
         print(f"warning: {w}", file=sys.stderr)
-    outdir = args.outdir if args.outdir else cfg.outdir
-    result = gridrun.run_cell(cfg, outdir)
+    result = gridrun.run_cell(cfg)
     if result.verdict is None:
         print(f"run failed: {result.error}", file=sys.stderr)
         return 1
@@ -117,7 +105,7 @@ def _cmd_run(args) -> int:
     print(f"upper bound  {v['upper_bound']}, lower bound {v['lower_bound']}")
     if v.get("verdict_error"):
         print(f"verdict      not assessed: {v['verdict_error']}", file=sys.stderr)
-    print(f"outputs in   {outdir}")
+    print(f"outputs in   {cfg.outdir}")
     return 0 if v["passed"] else 1
 
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Tuple, Union
 
 from .dynamics import MODES
@@ -16,10 +17,6 @@ from .objectives import ObjectiveSpec, parse_objective
 
 LYAPUNOV_CHOICES = ("auto-sharp", "auto-flat", "manual")
 
-DEFAULT_H = 1e-5
-DEFAULT_DT = 1e-3
-DEFAULT_T0 = 0.1
-DEFAULT_STRIDE = 100
 # recorded samples per run (steps // stride + 2 at most); each costs memory
 # whether or not the run steps to the end
 MAX_RECORDS = 10_000_000
@@ -37,12 +34,12 @@ class ExperimentConfig:
     alpha: float
     steps: int
     mode: str
-    h: float = DEFAULT_H
-    dt: float = DEFAULT_DT
-    t0: float = DEFAULT_T0
+    h: float = 1e-5
+    dt: float = 1e-3
+    t0: float = 0.1
     x0: Tuple[float, ...] = (0.5,)
     v0: Tuple[float, ...] = (0.0,)
-    stride: int = DEFAULT_STRIDE
+    stride: int = 100
     rate_override: Optional[float] = None
     lyapunov: str = "auto-sharp"
     lyapunov_lambda: Optional[float] = None
@@ -70,78 +67,92 @@ def resolve_mode(mode: Optional[str], obj: ObjectiveSpec) -> str:
     return mode
 
 
-_RUN_KEYS = {
-    "objective", "alpha", "steps", "mode", "h", "dt", "t0", "x0", "v0",
-    "stride", "rate_override", "lyapunov", "lyapunov_lambda", "lyapunov_p",
-    "outdir",
-}
-# float keys that must be finite whatever the mode (JSON accepts NaN/Infinity)
-_FINITE_KEYS = ("h", "dt", "t0", "lyapunov_lambda", "lyapunov_p", "rate_override")
-
-
-def _as_point(value, name: str) -> Tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (list, tuple)) and all(isinstance(v, (int, float)) for v in value):
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"{name} must be a number or list of numbers, got {value!r}")
-
-
 def _as_float(value, name: str) -> float:
-    try:
+    """A finite JSON number; booleans, strings and null are not numbers."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):  # false for NaN and infinities
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-
-
-def _as_optional_float(raw: dict, name: str) -> Optional[float]:
-    value = raw.get(name)
-    return None if value is None else _as_float(value, name)
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not float(value).is_integer():
+    """An integral JSON number (1e6 counts)."""
+    if not _as_float(value, name).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _as_numbers(value, name: str) -> Tuple[float, ...]:
+    """A list of numbers (Python callers may pass a tuple)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_as_float(v, name) for v in value)
+
+
+def _as_point(value, name: str) -> Tuple[float, ...]:
+    """A list of coordinates, or one number for a 1-D point."""
+    return _as_numbers(value if isinstance(value, (list, tuple)) else [value], name)
+
+
+def _as_pairs(value, name: str) -> Tuple[Tuple[float, ...], ...]:
+    """A list of [alpha, gamma] pairs."""
+    if isinstance(value, (list, tuple)):
+        pairs = tuple(_as_numbers(p, name) for p in value)
+        if all(len(p) == 2 for p in pairs):
+            return pairs
+    raise ConfigError(f"{name} must be a list of [alpha, gamma] pairs, got {value!r}")
+
+
+def _or_null(coerce):
+    """The same coercion with JSON null meaning unset."""
+    return lambda value, name: None if value is None else coerce(value, name)
+
+
+# Every run key and the coercion of its JSON value, in ExperimentConfig's field
+# order; an absent key takes the field's default.  Each key is also a `run` flag.
+RUN_SCHEMA = {
+    "objective": _as_str,
+    "alpha": _as_float,
+    "steps": _as_int,
+    "mode": _or_null(_as_str),  # null or "auto": chosen from the objective
+    "h": _as_float,
+    "dt": _as_float,
+    "t0": _as_float,
+    "x0": _as_point,
+    "v0": _as_point,
+    "stride": _as_int,
+    "rate_override": _or_null(_as_float),
+    "lyapunov": _as_str,
+    "lyapunov_lambda": _or_null(_as_float),
+    "lyapunov_p": _or_null(_as_float),
+    "outdir": _as_str,
+}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw run mapping and fill defaults (strict keys)."""
-    unknown = set(raw) - _RUN_KEYS
+    unknown = set(raw) - set(RUN_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {"mode": None}  # a required field, resolved from the objective below
+    values.update((k, coerce(raw[k], k)) for k, coerce in RUN_SCHEMA.items() if k in raw)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"missing required config key {f.name!r}")
     try:
-        objective, alpha, steps = raw["objective"], raw["alpha"], raw["steps"]
-    except KeyError as exc:
-        raise ConfigError(f"missing required config key {exc}") from None
-    alpha = _as_float(alpha, "alpha")
-    steps = _as_int(steps, "steps")
-    try:
-        obj = parse_objective(objective)
+        obj = parse_objective(values["objective"])
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad objective {objective!r}: {exc}") from None
-    mode = resolve_mode(raw.get("mode"), obj)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES} or 'auto', got {mode!r}")
-    cfg = ExperimentConfig(
-        objective=objective,
-        alpha=alpha,
-        steps=steps,
-        mode=mode,
-        h=_as_float(raw.get("h", DEFAULT_H), "h"),
-        dt=_as_float(raw.get("dt", DEFAULT_DT), "dt"),
-        t0=_as_float(raw.get("t0", DEFAULT_T0), "t0"),
-        x0=_as_point(raw.get("x0", (0.5,) * obj.dim), "x0"),
-        v0=_as_point(raw.get("v0", (0.0,) * obj.dim), "v0"),
-        stride=_as_int(raw.get("stride", DEFAULT_STRIDE), "stride"),
-        rate_override=_as_optional_float(raw, "rate_override"),
-        lyapunov=raw.get("lyapunov", "auto-sharp"),
-        lyapunov_lambda=_as_optional_float(raw, "lyapunov_lambda"),
-        lyapunov_p=_as_optional_float(raw, "lyapunov_p"),
-        outdir=str(raw.get("outdir", "out")),
-    )
+        raise ConfigError(f"bad objective {values['objective']!r}: {exc}") from None
+    values["mode"] = resolve_mode(values["mode"], obj)
+    values.setdefault("x0", (0.5,) * obj.dim)
+    values.setdefault("v0", (0.0,) * obj.dim)
+    cfg = ExperimentConfig(**values)
     validate_config(cfg, obj)
     return cfg
 
@@ -149,15 +160,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) -> None:
     if obj is None:
         obj = cfg.build_objective()
-    if not (math.isfinite(cfg.alpha) and cfg.alpha > 0.0):
-        raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}")
-    for key in _FINITE_KEYS:
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    for key in ("x0", "v0"):
-        if not all(math.isfinite(c) for c in getattr(cfg, key)):
-            raise ConfigError(f"{key} must be finite, got {list(getattr(cfg, key))}")
+    if cfg.alpha <= 0.0:
+        raise ConfigError(f"alpha must be positive, got {cfg.alpha}")
     if cfg.steps < 1:
         raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     if cfg.stride < 1:
@@ -168,7 +172,7 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
             f"{MAX_RECORDS}; raise stride or lower steps"
         )
     if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+        raise ConfigError(f"mode must be one of {MODES} or 'auto', got {cfg.mode!r}")
     if cfg.mode == "prox-nesterov" and obj.prox is None:
         raise ConfigError(f"mode prox-nesterov needs a prox, {cfg.objective!r} has none")
     if cfg.mode == "ode-rk4":
@@ -228,44 +232,49 @@ class GridSpec:
         return out
 
 
-_GRID_KEYS = {"pairs", "alphas", "gammas", "objective", "parallelism"}
+# The grid section's keys and the coercions of their JSON values.
+_GRID_SCHEMA = {
+    "pairs": _as_pairs,
+    "alphas": _as_numbers,
+    "gammas": _as_numbers,
+    "objective": _as_str,
+    "parallelism": _as_int,
+}
 
 
 def grid_from_dict(doc: dict) -> GridSpec:
     grid_raw = doc.get("grid")
     if not isinstance(grid_raw, dict):
         raise ConfigError("grid document needs a 'grid' mapping")
-    unknown = set(grid_raw) - _GRID_KEYS
+    unknown = set(grid_raw) - set(_GRID_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    grid = {k: coerce(grid_raw[k], k) for k, coerce in _GRID_SCHEMA.items() if k in grid_raw}
     base_raw = doc.get("run", {})
     if not isinstance(base_raw, dict):
         raise ConfigError("'run' section must be a mapping")
-    bad = (set(base_raw) - _RUN_KEYS) | ({"alpha", "objective"} & set(base_raw))
+    bad = (set(base_raw) - set(RUN_SCHEMA)) | ({"alpha", "objective"} & set(base_raw))
     if bad:
         raise ConfigError(f"grid run section cannot contain keys: {sorted(bad)}")
     extra_doc = set(doc) - {"grid", "run"}
     if extra_doc:
         raise ConfigError(f"unknown document keys: {sorted(extra_doc)}")
-    if "pairs" in grid_raw:
-        if "alphas" in grid_raw or "gammas" in grid_raw:
+    if "pairs" in grid:
+        if "alphas" in grid or "gammas" in grid:
             raise ConfigError("give either 'pairs' or 'alphas'+'gammas', not both")
-        pairs = tuple((float(a), float(g)) for a, g in grid_raw["pairs"])
-    elif "alphas" in grid_raw and "gammas" in grid_raw:
-        pairs = tuple(
-            (float(a), float(g)) for a in grid_raw["alphas"] for g in grid_raw["gammas"]
-        )
+        pairs = grid["pairs"]
+    elif "alphas" in grid and "gammas" in grid:
+        pairs = tuple((a, g) for a in grid["alphas"] for g in grid["gammas"])
     else:
         raise ConfigError("grid needs 'pairs' or 'alphas'+'gammas'")
     if not pairs:
         raise ConfigError("grid is empty")
-    template = grid_raw.get("objective", "power:gamma={gamma},dim=1")
-    parallelism = _as_int(grid_raw.get("parallelism", 1), "parallelism")
+    parallelism = grid.get("parallelism", 1)
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     spec = GridSpec(
         pairs=pairs,
-        objective_template=template,
+        objective_template=grid.get("objective", "power:gamma={gamma},dim=1"),
         base=tuple(sorted(base_raw.items())),
         parallelism=parallelism,
     )
@@ -273,25 +282,27 @@ def grid_from_dict(doc: dict) -> GridSpec:
     return spec
 
 
-def parse_config(text: str) -> Union[ExperimentConfig, GridSpec]:
-    """Parse a JSON run or grid document (a 'grid' key selects a grid)."""
+def parse_document(text: str) -> dict:
+    """A JSON config document as a mapping, before any of its keys is read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    if "grid" in doc:
-        return grid_from_dict(doc)
-    return config_from_dict(doc)
+    return doc
+
+
+def parse_config(text: str) -> Union[ExperimentConfig, GridSpec]:
+    """Parse a JSON run or grid document (a 'grid' key selects a grid)."""
+    doc = parse_document(text)
+    return grid_from_dict(doc) if "grid" in doc else config_from_dict(doc)
 
 
 def render_config(cfg: Union[ExperimentConfig, GridSpec]) -> str:
     """Canonical JSON for a config; parse_config(render_config(c)) == c."""
     if isinstance(cfg, ExperimentConfig):
         doc = {k: v for k, v in asdict(cfg).items() if v is not None}
-        doc["x0"] = list(cfg.x0)
-        doc["v0"] = list(cfg.v0)
     else:
         doc = {
             "grid": {

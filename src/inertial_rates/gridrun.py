@@ -30,19 +30,8 @@ class CellResult:
     error: Optional[str] = None
 
     def summary_row(self) -> dict:
-        row = {"label": self.label, "error": self.error}
-        if self.verdict:
-            row.update({
-                "branch": self.verdict["branch"],
-                "theoretical": self.verdict["theoretical"],
-                "fitted": self.verdict["fitted"],
-                "fitted_err": self.verdict["fitted_err"],
-                "z_tail_ratio": self.verdict["z_tail_ratio"],
-                "boundedness": self.verdict["boundedness"],
-                "nonvanishing": self.verdict["nonvanishing"],
-                "passed": self.verdict["passed"],
-            })
-        return row
+        """The verdict with label and error; write_summary picks its columns."""
+        return {"label": self.label, "error": self.error, **(self.verdict or {})}
 
 
 def energy_reference_point(obj: ObjectiveSpec, x0: Sequence[float]):

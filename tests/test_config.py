@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+from inertial_rates import gridrun
 from inertial_rates.cli import main
 from inertial_rates.config import (
     MAX_RECORDS,
+    RUN_SCHEMA,
     ConfigError,
     ExperimentConfig,
     GridSpec,
@@ -216,3 +218,99 @@ def test_config_not_json_or_not_object():
         parse_config("steps: 10")
     with pytest.raises(ConfigError, match="object"):
         parse_config("[1, 2]")
+
+
+# ---------------------------------------------------------------------------
+# one run-key table: typed coercion at the boundary, flags over a file
+# ---------------------------------------------------------------------------
+
+_BASE = {"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10}
+_NULL_MEANS_UNSET = {"mode", "rate_override", "lyapunov_lambda", "lyapunov_p"}
+_STRING_KEYS = {"objective", "mode", "lyapunov", "outdir"}
+
+
+def _wrong_typed_values():
+    cases = []
+    for key in RUN_SCHEMA:
+        for value in (True, "1", {"a": 1}, None):
+            if value == "1" and key in _STRING_KEYS:
+                continue  # a numeric string is a string
+            if value is None and key in _NULL_MEANS_UNSET:
+                continue
+            cases.append((key, value))
+    # reproduced one by one: each was accepted or raised a bare Python error
+    cases += [("h", "0.001"), ("x0", [True]), ("objective", 5), ("outdir", 5),
+              ("alpha", 10**400), ("steps", 10**400)]
+    return [pytest.param(k, v, id=f"{k}={json.dumps(v)[:12]}") for k, v in cases]
+
+
+@pytest.mark.parametrize("key, value", _wrong_typed_values())
+def test_wrong_typed_values_rejected(tmp_path, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)  # a bad outdir must not appear here either
+    doc = json.dumps({**_BASE, "outdir": "out", key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+    (tmp_path / "run.json").write_text(doc)
+    assert main(["run", "--config", "run.json"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"pairs": [[3, None]]},
+    {"pairs": 5},
+    {"pairs": [["3", "2"]]},
+    {"pairs": [[3, 2, 1]]},
+    {"alphas": "34", "gammas": [2]},
+    {"alphas": [3], "gammas": [True]},
+    {"pairs": [[3, 2]], "parallelism": True},
+    {"pairs": [[3, 2]], "parallelism": "2"},
+    {"pairs": [[3, 2]], "objective": 5},
+])
+def test_grid_section_values_rejected(tmp_path, grid):
+    doc = json.dumps({"grid": grid, "run": {"steps": 10}})
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    path = tmp_path / "grid.json"
+    path.write_text(doc)
+    assert main(["grid", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_flags_override_config_file(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"objective": "power:gamma=2,dim=1", "alpha": 6,
+                                "steps": 60_000, "h": 1e-4, "stride": 10,
+                                "outdir": str(tmp_path / "file")}))
+    main(["run", "--config", str(path), "--alpha", "2", "--outdir", str(tmp_path / "flag")])
+    assert not (tmp_path / "file").exists()
+    verdict = json.loads((tmp_path / "flag" / "verdict.json").read_text())
+    assert verdict["alpha"] == 2.0
+    # flag text that spells no number is handed on and rejected by its key
+    assert main(["run", "--config", str(path), "--alpha", "abc"]) == 2
+    assert main(["run", "--config", str(path), "--x0", "0.5,x"]) == 2
+    assert not (tmp_path / "file").exists()
+
+
+def test_run_as_file_and_as_flags_is_one_config(tmp_path, monkeypatch):
+    doc = {
+        "objective": "power:gamma=2,dim=3", "alpha": 4.5, "steps": 2000,
+        "mode": "ode-rk4", "h": 1e-4, "dt": 1e-3, "t0": 0.05,
+        "x0": [1.0, -0.5, 0.25], "v0": [0.0, 0.0, 0.1], "stride": 10,
+        "rate_override": 0.5, "lyapunov": "manual", "lyapunov_lambda": 3.0,
+        "lyapunov_p": 1.0, "outdir": str(tmp_path / "out"),
+    }
+    assert set(doc) == set(RUN_SCHEMA)  # every run key, so every run flag
+    seen = []
+    monkeypatch.setattr(gridrun, "run_cell",
+                        lambda cfg: seen.append(cfg) or gridrun.CellResult("", cfg, None, None))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    main(["run", "--config", str(path)])
+    flags = []
+    for key, value in doc.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        flags += ["--" + key.replace("_", "-"), text]
+    main(["run", *flags])
+    from_file, from_flags = seen
+    assert from_file == from_flags == config_from_dict(doc)
+    assert render_config(from_file) == render_config(from_flags)
