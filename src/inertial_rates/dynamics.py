@@ -82,19 +82,28 @@ def _point_form(dim: int):
 
 
 class _Recorder:
-    """Recorded (n, x, v) samples.  Lists, not preallocated arrays: appending
-    a float costs far less than storing it into an array element."""
+    """Recorded (n, x, v, gap) samples.  Lists, not preallocated arrays:
+    appending a float costs far less than storing it into an array element."""
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self, obj: ObjectiveSpec):
+        self.obj = obj
         self.ns: list = []
         self.xs: list = []
         self.vs: list = []
+        self.gaps: list = []
+
+    def gap(self, x) -> float:
+        """F(x) - F*; a value that overflows counts as inf."""
+        try:
+            return self.obj.value(x) - self.obj.f_star
+        except OverflowError:
+            return math.inf
 
     def add(self, n: int, x, v) -> None:
         self.ns.append(n)
         self.xs.append(x)
         self.vs.append(v)
+        self.gaps.append(self.gap(x))
 
     def fill(self, start: int, stop: int, stride: int, x, v) -> None:
         """Record (x, v) at every multiple of ``stride`` in [start, stop], and
@@ -107,15 +116,17 @@ class _Recorder:
             self.ns.append(stop)
         self.xs.extend(repeat(x, count))
         self.vs.extend(repeat(v, count))
+        self.gaps.extend(repeat(self.gap(x), count))
 
-    def trajectory(self, obj: ObjectiveSpec, error, t_scale: float, **fields) -> Trajectory:
+    def trajectory(self, error, t_scale: float, **fields) -> Trajectory:
         """The samples as a Trajectory with times t0 + n*t_scale."""
+        dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
-        x = np.asarray(self.xs, dtype=float).reshape(len(n), self.dim)
-        v = np.asarray(self.vs, dtype=float).reshape(len(n), self.dim)
+        x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
+        v = np.asarray(self.vs, dtype=float).reshape(len(n), dim)
         return Trajectory(
-            objective_name=obj.name, n=n, t=fields["t0"] + n * t_scale, x=x, v=v,
-            gap=_gaps(obj, x), error=error, **fields,
+            objective_name=self.obj.name, n=n, t=fields["t0"] + n * t_scale, x=x, v=v,
+            gap=np.array(self.gaps, dtype=float), error=error, **fields,
         )
 
 
@@ -153,7 +164,7 @@ def run_scheme(
     point, zero, finite, same = _point_form(obj.dim)
     grad, prox = obj.gradient, obj.prox
     x = xp = point(x0)
-    rec = _Recorder(obj.dim)
+    rec = _Recorder(obj)
     rec.add(0, x, zero)
     error = None
     k = 0
@@ -184,7 +195,7 @@ def run_scheme(
         if k % stride == 0 or k == steps:
             rec.add(k, x, (x - xp) / sqrt_h)
     return rec.trajectory(
-        obj, error, sqrt_h, mode="prox-nesterov" if use_prox else "nesterov",
+        error, sqrt_h, mode="prox-nesterov" if use_prox else "nesterov",
         alpha=alpha, step=h, t0=0.0, stride=stride,
     )
 
@@ -215,7 +226,7 @@ def run_ode(
     grad = obj.gradient
     x = point(x0)
     v = zero if v0 is None else point(v0)
-    rec = _Recorder(obj.dim)
+    rec = _Recorder(obj)
     rec.add(0, x, v)
     error = None
     for k in range(steps):
@@ -252,22 +263,8 @@ def run_ode(
         if kk % stride == 0 or kk == steps:
             rec.add(kk, x, v)
     return rec.trajectory(
-        obj, error, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0, stride=stride
+        error, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0, stride=stride
     )
-
-
-def _gaps(obj: ObjectiveSpec, x_arr: np.ndarray) -> np.ndarray:
-    """F(x) - F* per record; a value that overflows counts as inf."""
-    value, f_star = obj.value, obj.f_star
-
-    def gap(x):
-        try:
-            return value(x) - f_star
-        except OverflowError:
-            return math.inf
-
-    points = x_arr[:, 0].tolist() if obj.dim == 1 else x_arr
-    return np.array([gap(x) for x in points])
 
 
 def run(config, obj: ObjectiveSpec) -> Trajectory:

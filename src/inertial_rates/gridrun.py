@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -76,7 +77,7 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
     try:
         obj = cfg.build_objective()
         traj = dynamics.run(cfg, obj)
-        io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
+        t_text = io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
         gamma = obj.nominal_gamma
         if len(traj) == 1:
             # diverged at its first step: no record with t > 0 to assess
@@ -89,9 +90,9 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
         params = lyapunov_params_for(cfg, gamma)
         x_star = energy_reference_point(obj, cfg.x0)
         table = lyapunov.energy_along(traj, params, x_star=x_star, rate=rate)
-        io.write_energy_csv(table, os.path.join(out, "energy.csv"))
+        io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
         zs = rates.z_sequence(traj, rate)
-        io.write_z_csv(zs, os.path.join(out, "z.csv"))
+        io.write_z_csv(zs, os.path.join(out, "z.csv"), t_text=t_text)
         try:
             verdict = rates.verify_rate(
                 traj, regime, fit_t_window=default_fit_window(traj, gamma)
@@ -116,6 +117,16 @@ def _grid_worker(item):
     return run_cell(cfg, outdir, label)
 
 
+def _pool_result(future, item) -> CellResult:
+    """The cell's result; a cell left unfinished by a crashed worker process
+    gets a BrokenProcessPool error instead of taking the grid down."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        label, cfg, _ = item
+        return CellResult(label, cfg, None, None, error=f"BrokenProcessPool: {exc}")
+
+
 def worker_count(requested: int) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
@@ -130,10 +141,11 @@ def run_grid(grid: GridSpec, outdir: str = "out") -> list:
     """Execute every cell, then assemble summary table and z overlay."""
     cells = grid.cells()
     items = [(label, cfg, os.path.join(outdir, label)) for label, cfg in cells]
-    n_workers = worker_count(grid.parallelism)
-    if n_workers > 1 and len(items) > 1:
+    n_workers = min(worker_count(grid.parallelism), len(items))
+    if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_grid_worker, items))
+            futures = [pool.submit(_grid_worker, it) for it in items]
+            results = [_pool_result(f, it) for f, it in zip(futures, items)]
     else:
         results = [_grid_worker(it) for it in items]
     rows = [r.summary_row() for r in results]

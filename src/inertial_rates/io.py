@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,32 +34,96 @@ def _write_text(path: str, text: str) -> None:
 _BLOCK_ROWS = 4096
 
 
-def _write_columns(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """CSV of equal-length 1-D columns: integer columns as %d, float columns
-    as %.17g (the same text as fmt), written in blocks of _BLOCK_ROWS rows."""
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+class ColumnText(NamedTuple):
+    """The CSV text of a float column: ``values`` and, for each block of
+    _BLOCK_ROWS rows, its cells joined by newlines.  A file whose column is a
+    bit-identical suffix of ``values`` writes this text instead of formatting
+    the column again."""
+
+    values: np.ndarray
+    blocks: List[str]
+
+
+def _texts(block: np.ndarray) -> List[str]:
+    """The cells of one column block: integers as %d, floats as %.17g (the
+    same text as fmt).  Floats are split into runs of equal bit patterns
+    (0.0, -0.0 and NaN payloads stay apart) and each run is formatted once."""
+    if block.dtype.kind in "iu":
+        return list(map(str, block.tolist()))
+    block = np.asarray(block, dtype=np.float64)
+    bits = block.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if len(starts) + 1 == len(block):
+        return ["%.17g" % v for v in block.tolist()]
+    if len(starts) == 0:
+        return ["%.17g" % block[0]] * len(block)
+    starts = np.concatenate(([0], starts))
+    text = np.array(["%.17g" % v for v in block[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(starts, append=len(block))).tolist()
+
+
+def _column_text(values: np.ndarray) -> ColumnText:
+    blocks = range(0, len(values), _BLOCK_ROWS)
+    return ColumnText(values, ["\n".join(_texts(values[lo:lo + _BLOCK_ROWS])) for lo in blocks])
+
+
+def _suffix_of(text: Optional[ColumnText], values: np.ndarray) -> Tuple[object, int]:
+    """(text, rows it has before ``values``) when ``values`` is a nonempty
+    bit-identical suffix of ``text.values``, else (values, 0)."""
+    if text is not None:
+        offset = len(text.values) - len(values)
+        if 0 <= offset < len(text.values) and np.array_equal(
+            text.values[offset:].view(np.int64), np.asarray(values, dtype=np.float64).view(np.int64)
+        ):
+            return text, offset
+    return values, 0
+
+
+def _write_columns(
+    path: str, header: Sequence[str], columns: Sequence[object], offset: int = 0
+) -> None:
+    """CSV of equal-length columns, written in blocks of _BLOCK_ROWS rows.
+
+    A column is a 1-D array (see _texts) or a ColumnText whose values hold
+    ``offset`` rows before this file's first row.  Blocks are aligned on the
+    ColumnText's blocks, so the first one can be short."""
+    first = columns[0]
+    n = len(first.values) - offset if isinstance(first, ColumnText) else len(first)
     with _open_text(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = zip(*(c[lo:lo + _BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join([row % r for r in block]))
+        for lo in range(-(offset % _BLOCK_ROWS), n, _BLOCK_ROWS):
+            a, b = max(lo, 0), min(lo + _BLOCK_ROWS, n)
+            j = (lo + offset) // _BLOCK_ROWS
+            cells = [
+                c.blocks[j].split("\n")[a - lo:] if isinstance(c, ColumnText) else _texts(c[a:b])
+                for c in columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+def write_trajectory_csv(traj: Trajectory, path: str) -> ColumnText:
+    """Write trajectory.csv; returns the text of ``traj.t`` for the energy and
+    z writers."""
     d = range(traj.dim)
     header = ["n", "t", *(f"x_{i}" for i in d), *(f"v_{i}" for i in d), "gap"]
-    _write_columns(path, header, [traj.n, traj.t, *traj.x.T, *traj.v.T, traj.gap])
+    t_text = _column_text(traj.t)
+    _write_columns(path, header, [traj.n, t_text, *traj.x.T, *traj.v.T, traj.gap])
+    return t_text
 
 
-def write_energy_csv(table: EnergyTable, path: str) -> None:
+def write_energy_csv(table: EnergyTable, path: str, t_text: Optional[ColumnText] = None) -> None:
+    """Write energy.csv; its t column reuses ``t_text`` when it is a suffix of it."""
+    t, offset = _suffix_of(t_text, table.t)
     _write_columns(
         path, "t,a,b,c,E,H,z".split(","),
-        [table.t, table.a, table.b, table.c, table.E, table.H, table.z],
+        [t, table.a, table.b, table.c, table.E, table.H, table.z], offset,
     )
 
 
-def write_z_csv(zs: ZSeries, path: str) -> None:
-    _write_columns(path, ["t", "z"], [zs.t, zs.z])
+def write_z_csv(zs: ZSeries, path: str, t_text: Optional[ColumnText] = None) -> None:
+    """Write z.csv; its t column reuses ``t_text`` when it is a suffix of it."""
+    t, offset = _suffix_of(t_text, zs.t)
+    _write_columns(path, ["t", "z"], [t, zs.z], offset)
 
 
 def verdict_to_dict(

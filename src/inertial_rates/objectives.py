@@ -80,7 +80,7 @@ def prox_power(gamma: float, h: float, y: float) -> float:
     gamma in {1.5, 3} the optimality equation u + h*gamma*u**(gamma-1) = |y|
     is quadratic in sqrt(u) resp. u and solved in closed form; any other
     gamma > 1 uses a bisection-safeguarded Newton iteration on [0, |y|]
-    driven to |residual| <= 1e-14 * max(1, |y|).
+    driven to |residual| <= 1e-14 * max(1, |y|) (_prox_newton).
     """
     if gamma < 1.0:
         raise ValueError(f"prox_power requires gamma >= 1, got {gamma}")
@@ -93,17 +93,31 @@ def prox_power(gamma: float, h: float, y: float) -> float:
         return math.copysign(max(ay - h, 0.0), y)
     if gamma == 2.0:
         return y / (1.0 + 2.0 * h)
+    # The roots below are written halved (ay / (b/2 + sqrt(b*b/4 + ay)) for
+    # 2*ay / (b + sqrt(b*b + 4*ay))): the same bits, without overflowing 4*ay.
     if gamma == 1.5:
         b = 1.5 * h
-        s = 2.0 * ay / (b + math.sqrt(b * b + 4.0 * ay))  # cancellation-safe root
-        return math.copysign(s * s, y)
+        s = ay / (0.5 * b + math.sqrt(0.25 * b * b + ay))  # cancellation-safe root
+        u = s * s
+        return math.copysign(ay if u == math.inf else u, y)  # s*s ~ |y| near the float max
     if gamma == 3.0:
-        u = 2.0 * ay / (1.0 + math.sqrt(1.0 + 12.0 * h * ay))
-        return math.copysign(u, y)
+        q = 3.0 * h * ay
+        if q == math.inf:  # u = sqrt(ay/(3h)) to within a relative 1e-154
+            return math.copysign(math.sqrt(ay) / math.sqrt(3.0 * h), y)
+        return math.copysign(ay / (0.5 + math.sqrt(0.25 + q)), y)
+    if not math.isfinite(ay):
+        return y  # no root to find; a run reports the non-finite state
+    return _prox_newton(gamma, h, y)
 
-    # safeguarded Newton: f(u) = u + c*u^(gamma-1) - ay, increasing on [0, ay].
+
+def _prox_newton(gamma: float, h: float, y: float) -> float:
+    """prox_power for any gamma > 1 and finite y != 0, by a bisection-safeguarded
+    Newton iteration; raises ArithmeticError when 200 iterations do not meet
+    the tolerance (a root that underflows to 0 counts as met)."""
+    # f(u) = u + c*u^(gamma-1) - ay, increasing on [0, ay].
     # The root can sit many decades below ay when the penalty dominates, so
     # start from the asymptotic solution and fall back geometrically.
+    ay = abs(y)
     c = h * gamma
     g1 = gamma - 1.0
     tol = 1e-14 * max(1.0, ay)
@@ -125,17 +139,37 @@ def prox_power(gamma: float, h: float, y: float) -> float:
         df = 1.0 + _safe_pow(c * g1, u, g1 - 1.0)
         step = u - f / df
         if not (lo < step < hi):
-            step = math.sqrt(lo * hi) if lo > 0.0 else 1e-17 * hi
+            step = _geometric_mean(lo, hi) if lo > 0.0 else 1e-17 * hi
         u = step
         if u == 0.0:
             break  # true root underflows; 0 is the representable answer
+    else:
+        raise ArithmeticError(
+            f"prox_power Newton did not converge in 200 iterations: gamma={gamma!r}, "
+            f"h={h!r}, y={y!r}, residual={f!r} > tol={tol!r}"
+        )
     return math.copysign(u, y)
 
 
+def _geometric_mean(lo: float, hi: float) -> float:
+    """sqrt(lo*hi), taken factor by factor when the product overflows.  A
+    product that underflows still gives 0, which ends the iteration as an
+    underflowed root: bisecting on among subnormals, f moves in steps larger
+    than the tolerance and the iteration would not converge."""
+    p = lo * hi
+    return math.sqrt(p) if p < math.inf else math.sqrt(lo) * math.sqrt(hi)
+
+
 def _safe_pow(coef: float, u: float, e: float) -> float:
+    """coef * u**e; when u**e overflows, (coef**(1/e) * u)**e, and inf if that
+    overflows too (or, for e < 0, if coef**(1/e) * u underflows to 0)."""
     try:
         return coef * u ** e
     except OverflowError:
+        pass
+    try:
+        return (coef ** (1.0 / e) * u) ** e
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 

@@ -429,6 +429,35 @@ def test_diverging_rk4_reports_step_in_every_dimension(dim):
     assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.v))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("spec, x0", [
+    ("power:gamma=1.5,dim=1", 0.7), ("power:gamma=1.5,dim=3", [0.7, -0.1, 0.2]),
+    ("plateau:gamma=2,a=0.5", -1.5), ("power:gamma=3,dim=1", 5.0),
+    ("power:gamma=4,dim=2", [5.0, 0.0]),
+])
+def test_gap_is_recorded_with_each_point(mode, spec, x0):
+    """The gap of every record, filled ones and overflowing ones included, is
+    F(x) - F* of that record's point, as a pass over the finished records
+    would compute it (an overflow counts as inf)."""
+    obj = parse_objective(spec)
+    h = 10.0 if spec.startswith("power:gamma=3") else 0.05
+    traj = run(config_from_dict({
+        "objective": spec, "alpha": 3.0, "mode": mode, "h": h, "dt": h, "t0": 1.0,
+        "steps": 3_000, "stride": 7, "x0": x0 if isinstance(x0, list) else [x0],
+    }), obj)
+
+    def gap(p):
+        try:
+            return obj.value(p) - obj.f_star
+        except OverflowError:
+            return math.inf
+
+    points = traj.x[:, 0].tolist() if obj.dim == 1 else traj.x
+    want = np.array([gap(p) for p in points])
+    assert np.array_equal(traj.gap, want) and np.array_equal(np.signbit(traj.gap), np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # float and array forms of the loops
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 import json
+import math
 import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inertial_rates import io
+from inertial_rates import dynamics, gridrun, io, lyapunov, rates
 from inertial_rates.cli import main
 from inertial_rates.config import config_from_dict, parse_config
 from inertial_rates.gridrun import run_cell, run_grid, worker_count
+from inertial_rates.rates import ZSeries
 from inertial_rates.svgplot import emit_svg
 
 SMALL_RUN = {
@@ -143,6 +149,77 @@ def test_grid_parallel_workers_match_serial(tmp_path, monkeypatch):
             )
 
 
+def test_pool_is_bounded_by_the_cell_count(tmp_path, monkeypatch):
+    """A 2-cell grid at parallelism 6 starts 2 worker processes, not 6."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            started.append(len(self._processes))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.delenv("INERTIAL_RATES_WORKERS", raising=False)
+    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
+    doc = json.dumps({
+        "grid": {"pairs": [[6, 2], [3, 2]], "parallelism": 6},
+        "run": {"steps": 2_000, "h": 1e-4, "stride": 10},
+    })
+    results = run_grid(parse_config(doc), str(tmp_path))
+    assert started == [2]
+    assert [r.error for r in results] == [None, None]
+
+
+def _crash_in(label, real_run_cell, outdir):
+    """run_cell, except that the cell ``label`` kills its worker process once
+    every other cell's verdict.json is on disk (plus a margin for their
+    results to reach the parent)."""
+
+    def run_cell(cfg, out=None, lab="cell"):
+        if lab != label:
+            return real_run_cell(cfg, out, lab)
+        others = [d for d in os.listdir(outdir) if d != label]
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and not all(
+            os.path.exists(os.path.join(outdir, d, "verdict.json")) for d in others
+        ):
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(1)
+
+    return run_cell
+
+
+def test_grid_survives_a_worker_crash(tmp_path, monkeypatch):
+    """A worker process that dies (not an exception inside a cell) breaks the
+    pool; the grid still writes its summary and the overlay of the finished
+    cells, and the unfinished cells say why."""
+    monkeypatch.delenv("INERTIAL_RATES_WORKERS", raising=False)
+    doc = json.dumps({
+        "grid": {"pairs": [[6, 2], [3, 2], [5, 2]], "parallelism": 2},
+        "run": {"steps": 20_000, "h": 1e-4, "stride": 10},
+    })
+    grid = parse_config(doc)
+    labels = [label for label, _ in grid.cells()]
+    for label in labels:  # the crashing cell waits for these directories
+        (tmp_path / label).mkdir()
+    crash = labels[-1]
+    monkeypatch.setattr(gridrun, "run_cell", _crash_in(crash, gridrun.run_cell, str(tmp_path)))
+    results = run_grid(grid, str(tmp_path))
+
+    assert [r.label for r in results] == labels
+    by_label = {r.label: r for r in results}
+    assert by_label[crash].error.startswith("BrokenProcessPool: ")
+    assert by_label[crash].verdict is None
+    for label in labels[:-1]:
+        assert by_label[label].error is None and by_label[label].verdict["passed"]
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert len(summary) == 1 + len(labels)
+    assert summary[-1].startswith(crash + ",") and "BrokenProcessPool" in summary[-1]
+    assert (tmp_path / "summary.txt").exists()
+    svg = (tmp_path / "z_overlay.svg").read_text()
+    assert all(label in svg for label in labels[:-1]) and crash not in svg
+
+
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("INERTIAL_RATES_WORKERS", "3")
     assert worker_count(8) == 3
@@ -172,6 +249,132 @@ def test_csv_writer_blocks_match_fmt(tmp_path):
     assert len(body) == rows
     for i, line in enumerate(body):
         assert line == f"{n[i]},{io.fmt(x[i])},{io.fmt(x[rows - 1 - i])}"
+
+
+def _plain_csv(header, columns):
+    """The reference text: every cell formatted on its own, %d or io.fmt."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(
+            "%d" % c[i] if c.dtype.kind in "iu" else io.fmt(float(c[i])) for c in columns
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_lines(got, want):
+    """Equal texts, reporting only the first line that differs (pytest's own
+    diff of two 4k-line texts takes minutes)."""
+    g, w = got.split("\n"), want.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), None)
+    assert first is None, f"line {first}: {g[first]!r} != {w[first]!r}"
+    assert len(g) == len(w)
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, _NAN_PAYLOAD,
+            5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.sampled_from([io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+    | st.integers(1, 40),
+    palette=st.lists(st.sampled_from(_SPECIAL) | st.floats(allow_subnormal=True),
+                     min_size=1, max_size=6),
+    max_run=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_columns_matches_per_cell_format(tmp_path_factory, rows, palette, max_run, seed):
+    """Columns of repeated values (runs of up to max_run equal rows, and the
+    same value in separate runs), 0.0 beside -0.0, inf, nan with payloads and
+    subnormals, as contiguous, reversed and strided views, around one
+    block."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(palette), size=rows)
+    x = np.repeat(np.array(palette)[picks], rng.integers(1, max_run + 1, size=rows))[:rows]
+    zeros = np.where(rng.random(rows) < 0.5, 0.0, -0.0)
+    table = np.stack([rng.standard_normal(rows), x], axis=1)
+    columns = [np.arange(rows, dtype=np.int64) * 3, x, x[::-1], table[:, 0], table[::-1, 1],
+               zeros]
+    header = ["n", "x", "rev", "noise", "strided", "zeros"]
+    path = tmp_path_factory.mktemp("cols") / "cols.csv"
+    io._write_columns(str(path), header, columns)
+    _assert_same_lines(path.read_text(), _plain_csv(header, columns))
+
+
+def _marked(values):
+    """A ColumnText whose cells name their row, to see which rows a writer
+    takes from it."""
+    marks = [f"row{i}" for i in range(len(values))]
+    blocks = range(0, len(values), io._BLOCK_ROWS)
+    return io.ColumnText(values, ["\n".join(marks[lo:lo + io._BLOCK_ROWS]) for lo in blocks])
+
+
+@pytest.mark.parametrize("rows", [1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1,
+                                  2 * io._BLOCK_ROWS + 1])
+@pytest.mark.parametrize("offset", [0, 1, io._BLOCK_ROWS + 2])
+def test_z_writer_reuses_the_t_text_at_its_offset(tmp_path, rows, offset):
+    """offset 1 is a scheme run (its t = 0 record is dropped), offset 0 an
+    ODE run; a suffix that starts past the first block works too."""
+    t = np.arange(rows + offset) * 0.1 + (0.0 if offset else 0.5)
+    zs = ZSeries(t[offset:].copy(), np.full(rows, 0.25), 1.0, 1.0)
+    io.write_z_csv(zs, str(tmp_path / "z.csv"), t_text=_marked(t))
+    want = ["t,z"] + [f"row{i + offset},0.25" for i in range(rows)] + [""]
+    _assert_same_lines((tmp_path / "z.csv").read_text(), "\n".join(want))
+
+
+@pytest.mark.parametrize("change", ["one bit", "longer", "-0.0", "empty"])
+def test_writers_format_t_when_it_is_not_a_suffix(tmp_path, change):
+    t = np.arange(io._BLOCK_ROWS + 2) * 0.1
+    own = t[1:].copy()
+    if change == "one bit":
+        own[-7] = np.nextafter(own[-7], np.inf)
+    elif change == "longer":
+        own = np.concatenate([[0.05], t])
+    elif change == "-0.0":
+        t[0], own = 0.0, np.concatenate([[-0.0], t[1:]])
+    else:
+        own = t[:0]
+    zs = ZSeries(own, np.zeros(len(own)), 1.0, 1.0)
+    io.write_z_csv(zs, str(tmp_path / "z.csv"), t_text=_marked(t))
+    _assert_same_lines((tmp_path / "z.csv").read_text(), _plain_csv(["t", "z"], [zs.t, zs.z]))
+
+
+@pytest.mark.parametrize("run, offset", [
+    (dict(SMALL_RUN, mode="prox-nesterov", objective="power:gamma=1.5,dim=1", steps=50_000,
+          stride=7), 1),
+    (dict(SMALL_RUN, mode="ode-rk4", objective="power:gamma=3,dim=2", x0=[0.5, -0.2],
+          steps=5_000, dt=1e-2, stride=9), 0),
+])
+def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, monkeypatch, run, offset):
+    """run_cell hands the trajectory's t text to the energy and z writers
+    (a scheme run at offset 1, an ODE run at offset 0); every file equals the
+    one its writer makes alone, formatting its own t."""
+    shared = []
+    suffix_of = io._suffix_of
+
+    def spy(text, values):
+        col, off = suffix_of(text, values)
+        shared.append((isinstance(col, io.ColumnText), off))
+        return col, off
+
+    monkeypatch.setattr(io, "_suffix_of", spy)
+    cfg = config_from_dict(run)
+    res = run_cell(cfg, str(tmp_path / "cell"))
+    assert res.error is None
+    assert shared == [(True, offset), (True, offset)]
+
+    obj = cfg.build_objective()
+    traj = dynamics.run(cfg, obj)
+    rate = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma).exponent
+    params = gridrun.lyapunov_params_for(cfg, obj.nominal_gamma)
+    x_star = gridrun.energy_reference_point(obj, cfg.x0)
+    io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
+    io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star, rate=rate),
+                        str(tmp_path / "energy.csv"))
+    io.write_z_csv(rates.z_sequence(traj, rate), str(tmp_path / "z.csv"))
+    for name in ("trajectory.csv", "energy.csv", "z.csv"):
+        assert _read(tmp_path / name) == _read(tmp_path / "cell" / name)
 
 
 # ---------------------------------------------------------------------------

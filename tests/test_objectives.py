@@ -18,6 +18,7 @@ from inertial_rates.objectives import (
     prox_power,
     sample_ball,
 )
+from inertial_rates.objectives import _prox_newton, _safe_pow
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,77 @@ def test_prox_newton_general_gamma_residual():
             assert abs(z) <= abs(y) or y == 0.0
             res = z - y + h * gamma * abs(z) ** (gamma - 1.0) * math.copysign(1.0, z)
             assert abs(res) <= 1e-10 * max(1.0, abs(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.sampled_from([1.5, 3.0]),
+    log_h=st.floats(-12.0, 4.0),
+    y=st.floats(min_value=-1.7976931348623157e308, max_value=1.7976931348623157e308,
+                allow_subnormal=True).filter(lambda v: v != 0.0),
+)
+def test_prox_closed_form_matches_newton(gamma, log_h, y):
+    """The closed forms of gamma 1.5 and 3 against the general Newton branch,
+    over every finite nonzero y and step sizes far beyond any run's.
+
+    Tolerance: Newton stops once |f(u)| <= tol = 1e-14*max(1, |y|) for
+    f(u) = u + h*gamma*u**(gamma-1) - |y|, and f' >= 1, so its answer lies
+    within tol of the root.  Evaluating f rounds each of its terms, all at
+    most |y|, by a few ulps (under 1e-15*|y|), and the closed form is a few
+    ulps of a root that is at most |y|.  Together that stays below
+    2*tol.  The closed form must also meet Newton's own stopping rule, which
+    a zero returned for a huge root (an overflow inside the formula) fails;
+    the rule is skipped only where its penalty term itself overflows."""
+    h = 10.0 ** log_h
+    closed = prox_power(gamma, h, y)
+    newton = _prox_newton(gamma, h, y)
+    tol = 1e-14 * max(1.0, abs(y))
+    assert math.copysign(1.0, closed) == math.copysign(1.0, y)
+    assert abs(closed - newton) <= 2.0 * tol
+    u = abs(closed)
+    penalty = _safe_pow(h * gamma, u, gamma - 1.0)
+    if penalty < math.inf:  # inf only for |y| within ulps of the float max
+        assert abs(u + penalty - abs(y)) <= tol
+
+
+@pytest.mark.parametrize("gamma, h, y", [
+    (3.0, 1e-11, 3.3e299), (3.0, 1.0, 1e308), (1.5, 0.3, 5e307), (1.5, 1.0, 1.7976931348623157e308),
+])
+def test_prox_closed_forms_do_not_overflow(gamma, h, y):
+    """Huge inputs once overflowed inside the closed forms (4*|y|, 12*h*|y|,
+    the square of the gamma 1.5 root) and inside the Newton residual, and the
+    result was 0, inf or nan."""
+    z = prox_power(gamma, h, y)
+    assert 0.0 < z <= y and math.isfinite(z)
+    assert z == pytest.approx(_prox_newton(gamma, h, y), rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma, h, y", [
+    (1.01, 0.01434140163867841, -8.65023729472042e-06),   # root ~4e-323, a subnormal
+    (1.001, 136.4920447608856, 65.17979644909627),
+    (1.001, 4744.159586527272, -5.06812187634493e-290),  # u**(gamma-2) past the floats
+])
+def test_prox_newton_roots_near_the_float_floor(gamma, h, y):
+    """Roots at or below the smallest subnormal end the iteration as an
+    underflow to 0; the residual there cannot reach the tolerance."""
+    z = prox_power(gamma, h, y)
+    assert abs(z) <= 1e-300 and math.copysign(1.0, z) == math.copysign(1.0, y)
+
+
+def test_prox_newton_non_convergence_names_its_cause():
+    # a step size no run uses: the residual of the tiny root is not
+    # representable to the tolerance within 200 iterations
+    with pytest.raises(ArithmeticError) as info:
+        prox_power(4.0, 1e290, 8e-42)
+    msg = str(info.value)
+    for part in ("gamma=4.0", "h=1e+290", "y=8e-42", "residual="):
+        assert part in msg
+
+
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_prox_newton_passes_non_finite_points_through(y):
+    z = prox_power(4.0, 1e-3, y)
+    assert not math.isfinite(z)
 
 
 # ---------------------------------------------------------------------------
