@@ -21,7 +21,6 @@ from .lyapunov import (
     EnergyTable,
     LyapunovParams,
     MonotoneReport,
-    VelocityFit,
     check_H_monotone,
     check_Hprime_closed_form,
     energy_along,
@@ -32,11 +31,11 @@ from .lyapunov import (
     velocity_decay_exponent,
 )
 from .rates import (
-    ExponentFit,
     RateRegime,
     RateVerdict,
+    SeriesFit,
     ZSeries,
-    fit_exponent,
+    fit_series,
     scheme_fit_cap,
     tail_model_residuals,
     theoretical_rate,

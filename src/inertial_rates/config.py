@@ -21,6 +21,11 @@ LYAPUNOV_CHOICES = ("auto-sharp", "auto-flat", "manual")
 # whether or not the run steps to the end
 MAX_RECORDS = 10_000_000
 
+# largest prox-nesterov step: prox_power's Newton iteration converges for every
+# h up to here (it first fails near h ~ 1e248), so a prox run never ends in a
+# Newton error
+MAX_PROX_STEP = 1e150
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration (CLI exit code 2)."""
@@ -137,6 +142,11 @@ RUN_SCHEMA = {
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw run mapping and fill defaults (strict keys)."""
+    return _config_and_objective(raw)[0]
+
+
+def _config_and_objective(raw: dict) -> Tuple[ExperimentConfig, ObjectiveSpec]:
+    """config_from_dict, also returning the objective it parsed on the way."""
     unknown = set(raw) - set(RUN_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -154,7 +164,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     values.setdefault("v0", (0.0,) * obj.dim)
     cfg = ExperimentConfig(**values)
     validate_config(cfg, obj)
-    return cfg
+    return cfg, obj
 
 
 def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) -> None:
@@ -175,6 +185,8 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         raise ConfigError(f"mode must be one of {MODES} or 'auto', got {cfg.mode!r}")
     if cfg.mode == "prox-nesterov" and obj.prox is None:
         raise ConfigError(f"mode prox-nesterov needs a prox, {cfg.objective!r} has none")
+    if cfg.mode == "prox-nesterov" and cfg.h > MAX_PROX_STEP:
+        raise ConfigError(f"prox-nesterov needs h <= {MAX_PROX_STEP:g}, got {cfg.h:g}")
     if cfg.mode == "ode-rk4":
         if cfg.dt <= 0.0 or cfg.t0 <= 0.0:
             raise ConfigError("ode-rk4 requires dt > 0 and t0 > 0")
@@ -223,12 +235,12 @@ class GridSpec:
             raw = dict(self.base)
             raw["alpha"] = alpha
             raw["objective"] = self.objective_template.replace("{gamma}", f"{gamma:g}")
-            obj = parse_objective(raw["objective"])
+            cfg, obj = _config_and_objective(raw)
             if not math.isclose(obj.nominal_gamma, gamma, rel_tol=1e-12):
                 raise ConfigError(
                     f"cell gamma {gamma:g} does not match objective {raw['objective']!r}"
                 )
-            out.append((self.cell_label(alpha, gamma), config_from_dict(raw)))
+            out.append((self.cell_label(alpha, gamma), cfg))
         return out
 
 

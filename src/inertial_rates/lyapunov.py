@@ -13,14 +13,13 @@ p = 2*lam) instead zeroes the a and c coefficients.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .dynamics import Trajectory
-from .rates import envelope_points, _loglog_slope
+from .rates import SeriesFit, fit_series
 
 REGIME_SHARP = "sharp"
 REGIME_FLAT = "flat"
@@ -225,34 +224,12 @@ def first_gap_dominance_time(table: EnergyTable) -> Optional[float]:
     return float(table.t[idx[0]]) if len(idx) else None
 
 
-@dataclass(frozen=True)
-class VelocityFit:
-    slope: float
-    stderr: float
-    n_points: int
-    degenerate: bool = False
+def velocity_decay_exponent(traj: Trajectory, t_lo: float, t_hi: float) -> SeriesFit:
+    """Envelope decay exponent of ||v|| over [t_lo, t_hi] (rates.fit_series).
 
-
-def velocity_decay_exponent(
-    traj: Trajectory,
-    t_lo: float,
-    t_hi: float,
-    n_bins: int = 30,
-) -> VelocityFit:
-    """Envelope slope of log ||v|| vs log t over [t_lo, t_hi].
-
-    Velocities below 1e-300 are dropped; an all-zero velocity window is
-    degenerate.  Oscillating runs are handled by the running-max envelope.
+    Speeds at or below 1e-300 count as zero; an all-zero speed is degenerate.
+    Oscillating runs are handled by the running-max envelope.
     """
-    if t_hi <= t_lo:
-        raise ValueError("velocity_decay_exponent requires t_lo < t_hi")
     speed = np.linalg.norm(traj.v, axis=1)
-    m = (traj.t >= t_lo) & (traj.t <= t_hi)
-    if not m.any():
-        raise ValueError("velocity_decay_exponent: empty window")
-    if not np.any(speed[m] > 1e-300):
-        return VelocityFit(math.nan, math.nan, 0, degenerate=True)
-    keep = speed > 1e-300
-    pt, py = envelope_points(traj.t[keep], speed[keep], t_lo, t_hi, n_bins=n_bins)
-    slope, se, _ = _loglog_slope(pt, py)
-    return VelocityFit(slope, se, len(pt))
+    speed[speed <= 1e-300] = 0.0
+    return fit_series(traj.t, speed, (t_lo, t_hi))

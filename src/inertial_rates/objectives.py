@@ -121,8 +121,14 @@ def _prox_newton(gamma: float, h: float, y: float) -> float:
     c = h * gamma
     g1 = gamma - 1.0
     tol = 1e-14 * max(1.0, ay)
+    r = ay / c
     try:
-        u = min(ay, (ay / c) ** (1.0 / g1))
+        if r == math.inf:
+            # tiny h, huge |y|: the same start taken in logs; from ay instead,
+            # Newton shrinks u by only a factor ~(gamma-2)/(gamma-1) per step
+            u = min(ay, math.exp((math.log(ay) - math.log(c)) / g1))
+        else:
+            u = min(ay, r ** (1.0 / g1))
     except OverflowError:
         u = ay
     if u <= 0.0 or not math.isfinite(u):
@@ -161,25 +167,30 @@ def _geometric_mean(lo: float, hi: float) -> float:
 
 
 def _safe_pow(coef: float, u: float, e: float) -> float:
-    """coef * u**e; when u**e overflows, (coef**(1/e) * u)**e, and inf if that
-    overflows too (or, for e < 0, if coef**(1/e) * u underflows to 0)."""
+    """coef * u**e for u > 0; when u**e overflows, (sqrt(coef) * u**(e/2))**2,
+    and inf if that overflows too.  The halved form stays within a few ulps,
+    as Newton's tolerance needs; (coef**(1/e) * u)**e would not, since 1/e
+    rounds and |log coef| reaches ~700."""
     try:
         return coef * u ** e
     except OverflowError:
         pass
     try:
-        return (coef ** (1.0 / e) * u) ** e
-    except (OverflowError, ZeroDivisionError):
+        return (math.sqrt(coef) * u ** (0.5 * e)) ** 2
+    except OverflowError:
         return math.inf
 
 
 def _norm(x):
-    """np.linalg.norm, rescaled by max|x_i| when it underflows to 0 at a
-    nonzero point (|x| below ~1e-154); every other point keeps its bits."""
+    """np.linalg.norm, rescaled by max|x_i| when it falls outside
+    [1e-150, 1e150] at a finite nonzero point: below ~1.5e-154 the squared sum
+    is subnormal (inexact, or 0) and above ~1.3e154 it overflows to inf.
+    Points whose norm lies in that range keep their bits."""
     n = np.linalg.norm(x)
-    if n == 0.0 and np.any(x):
+    if not 1e-150 <= n <= 1e150:
         s = np.max(np.abs(x))
-        n = s * np.linalg.norm(np.asarray(x) / s)
+        if 0.0 < s < math.inf:
+            n = s * np.linalg.norm(np.asarray(x) / s)
     return n
 
 

@@ -2,8 +2,8 @@
 bounded / non-vanishing z-sequence tests behind the optimality claims.
 
 Solutions oscillate, so empirical decay orders are fitted on the envelope:
-the suffix running maximum of the series, reduced to >= 30 log-spaced bins,
-regressed in log-log coordinates.
+the suffix running maximum of the series, reduced to at most ENVELOPE_BINS
+log-spaced points, regressed in log-log coordinates (fit_series).
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ BRANCH_SHARP = "sharp-subcritical"
 BRANCH_SATURATED = "flat-saturated"
 BRANCH_INTERMEDIATE = "flat-intermediate"
 
-# Default thresholds for the z-sequence verdicts; loose enough to be robust
-# at h = 1e-5 and overridable per call.
+# Thresholds for the z-sequence verdicts; loose enough to be robust at
+# h = 1e-5.
 NONVANISH_THRESHOLD = 0.05
 BOUNDEDNESS_SLACK = 1.05
 
@@ -64,124 +64,97 @@ def theoretical_rate(alpha: float, gamma: float) -> RateRegime:
 
 
 # ---------------------------------------------------------------------------
-# envelope extraction and log-log regression
+# envelope fit
 # ---------------------------------------------------------------------------
 
-def envelope_points(
-    t: np.ndarray, y: np.ndarray, t_lo: float, t_hi: float, n_bins: int = 30
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Envelope of an oscillating positive series on [t_lo, t_hi].
+# Log-spaced bins the envelope crest points are reduced to.
+ENVELOPE_BINS = 30
 
-    A sample sits on the envelope when it meets its own suffix running
-    maximum (nothing later exceeds it); those peak-crest points are then
-    reduced to at most n_bins log-spaced representatives.
+
+@dataclass(frozen=True)
+class SeriesFit:
+    """Power-law fit y ~ t**-exponent to the envelope of a positive series."""
+
+    exponent: float             # minus the log-log slope (positive for decay)
+    stderr: float
+    t_window: Tuple[float, float]
+    t_points: np.ndarray        # envelope points the line is fitted to
+    y_points: np.ndarray
+    rmse: float                 # log-log residual
+    degenerate: bool = False    # no positive finite sample
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares line y ~ slope*x + c; returns (slope, stderr, rmse)."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    sol, rss, *_ = np.linalg.lstsq(A, y, rcond=None)
+    n = len(x)
+    rss = float(rss[0]) if len(rss) else 0.0
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    se = math.sqrt(rss / (max(n - 2, 1) * sxx)) if sxx > 0 else math.inf
+    return float(sol[0]), se, math.sqrt(rss / n)
+
+
+def fit_series(
+    t: np.ndarray, y: np.ndarray, t_window: Optional[Tuple[float, float]] = None
+) -> SeriesFit:
+    """Fit the decay exponent of the envelope of y(t) over a time window.
+
+    Only positive, finite samples at t > 0 count.  ``t_window`` (absolute
+    times) defaults to the last half of their log-time span, and must hold at
+    least 10 of them; a series with none is degenerate.  A sample sits on the
+    envelope when nothing later exceeds it (suffix running maximum); the
+    crest points in the window are reduced to the largest one in each of
+    ENVELOPE_BINS log-spaced bins, and log y is regressed on log t.
     """
     m = (t > 0.0) & (y > 0.0) & np.isfinite(y)
     t, y = t[m], y[m]
+    if len(t) == 0:
+        return SeriesFit(math.nan, math.nan, (math.nan, math.nan),
+                         t, y, math.nan, degenerate=True)
+    if t_window is None:
+        l0, l1 = math.log10(t[0]), math.log10(t[-1])
+        t_lo, t_hi = 10.0 ** (l0 + 0.5 * (l1 - l0)), 10.0 ** (l0 + (l1 - l0))
+    else:
+        t_lo, t_hi = float(t_window[0]), float(t_window[1])
+    w = (t >= t_lo) & (t <= t_hi)
+    usable = int(np.sum(w))
+    if usable < 10:
+        raise ValueError(
+            f"fit_series needs >= 10 positive-gap records in [{t_lo:g}, {t_hi:g}], got {usable}"
+        )
     hull = np.maximum.accumulate(y[::-1])[::-1]
-    crest = y >= hull
-    w = crest & (t >= t_lo) & (t <= t_hi)
+    w &= y >= hull
     tw, yw = t[w], y[w]
-    if len(tw) < 2:
-        return tw, yw
-    edges = np.logspace(math.log10(tw[0]), math.log10(tw[-1]), n_bins + 1)
+    if len(tw) < 2:  # later samples exceed all but at most one in the window
+        raise ValueError(
+            f"fit_series needs >= 2 envelope points in [{t_lo:g}, {t_hi:g}], got {len(tw)}"
+        )
+    edges = np.logspace(math.log10(tw[0]), math.log10(tw[-1]), ENVELOPE_BINS + 1)
     edges[-1] = tw[-1]
     pts_t, pts_y = [], []
-    for i in range(n_bins):
+    for i in range(ENVELOPE_BINS):
         sel = (tw >= edges[i]) & (tw <= edges[i + 1])
         if sel.any():
             j = int(np.argmax(yw[sel]))
             pts_t.append(tw[sel][j])
             pts_y.append(yw[sel][j])
-    return np.asarray(pts_t), np.asarray(pts_y)
-
-
-def _loglog_slope(pt: np.ndarray, py: np.ndarray) -> Tuple[float, float, float]:
-    """Least-squares slope of log y vs log t; returns (slope, stderr, rmse)."""
-    lt, ly = np.log(pt), np.log(py)
-    A = np.vstack([lt, np.ones_like(lt)]).T
-    sol, rss, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    n = len(lt)
-    rss = float(rss[0]) if len(rss) else 0.0
-    sxx = float(np.sum((lt - lt.mean()) ** 2))
-    se = math.sqrt(rss / (max(n - 2, 1) * sxx)) if sxx > 0 else math.inf
-    return float(sol[0]), se, math.sqrt(rss / n)
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    exponent: float           # decay exponent (positive for decaying gap)
-    stderr: float
-    n_points: int
-    t_window: Tuple[float, float]
-    degenerate: bool = False  # all gaps zero
-
-
-def _window_times(
-    t: np.ndarray,
-    window: Tuple[float, float],
-    t_window: Optional[Tuple[float, float]],
-) -> Tuple[float, float]:
-    lo, hi = window
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"window fractions must satisfy 0 <= lo < hi <= 1, got {window}")
-    if t_window is not None:
-        return float(t_window[0]), float(t_window[1])
-    l0, l1 = math.log10(t[0]), math.log10(t[-1])
-    return 10.0 ** (l0 + lo * (l1 - l0)), 10.0 ** (l0 + hi * (l1 - l0))
-
-
-def fit_exponent(
-    traj: Trajectory,
-    window: Tuple[float, float] = (0.5, 1.0),
-    n_bins: int = 30,
-    t_window: Optional[Tuple[float, float]] = None,
-) -> ExponentFit:
-    """Fit the decay exponent of the gap envelope over a log-time window.
-
-    ``window`` selects fractions of the positive-time log span; ``t_window``
-    (absolute times) overrides it.  Needs at least 10 positive-gap records in
-    the window; an all-zero gap yields a degenerate fit.
-    """
-    t, gap = traj.t, traj.gap
-    pos = (t > 0.0) & (gap > 0.0)
-    if not pos.any():
-        return ExponentFit(math.nan, math.nan, 0, (math.nan, math.nan), degenerate=True)
-    tp = t[pos]
-    t_lo, t_hi = _window_times(tp, window, t_window)
-    usable = int(np.sum((tp >= t_lo) & (tp <= t_hi)))
-    if usable < 10:
-        raise ValueError(
-            f"fit_exponent needs >= 10 positive-gap records in [{t_lo:g}, {t_hi:g}], got {usable}"
-        )
-    pt, py = envelope_points(t, gap, t_lo, t_hi, n_bins=n_bins)
-    slope, se, _ = _loglog_slope(pt, py)
-    return ExponentFit(-slope, se, len(pt), (t_lo, t_hi))
+    pt, py = np.asarray(pts_t), np.asarray(pts_y)
+    slope, se, rmse = _line_fit(np.log(pt), np.log(py))
+    return SeriesFit(-slope, se, (t_lo, t_hi), pt, py, rmse)
 
 
 def tail_model_residuals(
-    traj: Trajectory,
-    window: Tuple[float, float] = (0.5, 1.0),
-    n_bins: int = 30,
-    t_window: Optional[Tuple[float, float]] = None,
+    traj: Trajectory, t_window: Optional[Tuple[float, float]] = None
 ) -> Tuple[float, float]:
     """RMS residuals of log-log (power-law) vs log-linear (exponential) fits
     to the gap envelope; a power-law decay fits the first model strictly
     better, which is the numerical signature of "polynomial, not geometric".
     """
-    t, gap = traj.t, traj.gap
-    pos = (t > 0.0) & (gap > 0.0)
-    tp = t[pos]
-    t_lo, t_hi = _window_times(tp, window, t_window)
-    pt, py = envelope_points(t, gap, t_lo, t_hi, n_bins=n_bins)
-    if len(pt) < 3:
+    fit = fit_series(traj.t, traj.gap, t_window)
+    if len(fit.t_points) < 3:
         raise ValueError("tail_model_residuals needs >= 3 envelope points")
-    _, _, rmse_loglog = _loglog_slope(pt, py)
-    ly = np.log(py)
-    A = np.vstack([pt, np.ones_like(pt)]).T
-    _, rss, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    rmse_loglin = math.sqrt((float(rss[0]) if len(rss) else 0.0) / len(pt))
-    return rmse_loglog, rmse_loglin
+    return fit.rmse, _line_fit(fit.t_points, np.log(fit.y_points))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +212,15 @@ class RateVerdict:
 def verify_rate(
     traj: Trajectory,
     regime: RateRegime,
-    fit_window: Tuple[float, float] = (0.5, 1.0),
     fit_t_window: Optional[Tuple[float, float]] = None,
-    n_bins: int = 30,
-    nonvanish_threshold: float = NONVANISH_THRESHOLD,
-    boundedness_slack: float = BOUNDEDNESS_SLACK,
 ) -> RateVerdict:
-    """Fit the gap envelope and test the z-sequence at the regime exponent.
+    """Fit the gap envelope (fit_series over ``fit_t_window``) and test the
+    z-sequence at the regime exponent.
 
     The z statistics use the last half of the log-time span (asymptotic
     claims; transients excluded), which must span at least one decade.
-    Non-vanishing: tail max >= nonvanish_threshold * global max.
-    Boundedness: tail max <= boundedness_slack * global max.
+    Non-vanishing: tail max >= NONVANISH_THRESHOLD * global max.
+    Boundedness: tail max <= BOUNDEDNESS_SLACK * global max.
     """
     zs = z_sequence(traj, regime.exponent)
     if zs.degenerate:
@@ -262,7 +232,7 @@ def verify_rate(
         raise ValueError("verify_rate: tail half spans less than one decade")
     tail = zs.z[t >= t_mid]
     ratio = float(tail.max()) if len(tail) else 0.0
-    fit = fit_exponent(traj, window=fit_window, n_bins=n_bins, t_window=fit_t_window)
+    fit = fit_series(traj.t, traj.gap, fit_t_window)
     return RateVerdict(
         branch=regime.branch,
         theoretical=regime.exponent,
@@ -270,8 +240,8 @@ def verify_rate(
         fitted_err=fit.stderr,
         z_global_max=zs.prenorm_max,
         z_tail_ratio=ratio,
-        boundedness=ratio <= boundedness_slack,
-        nonvanishing=ratio >= nonvanish_threshold,
+        boundedness=ratio <= BOUNDEDNESS_SLACK,
+        nonvanishing=ratio >= NONVANISH_THRESHOLD,
         tail_window=(t_mid, float(t[-1])),
         upper_bound_proven=regime.upper_bound_proven,
         lower_bound_proven=regime.lower_bound_proven,

@@ -31,7 +31,6 @@ from inertial_rates.objectives import (
     probe_h2,
 )
 from inertial_rates.rates import (
-    fit_exponent,
     scheme_fit_cap,
     tail_model_residuals,
     theoretical_rate,
@@ -213,14 +212,14 @@ def test_criterion_6_velocity_bound_and_finite_length():
     dx = np.abs(np.diff(traj.x[:, 0]))
     total = float(dx.sum())
     tail = float(dx[traj.t[1:] >= 30.0].sum())
-    ok = fit.slope <= -2.7 and tail <= 0.01 * total
+    ok = fit.exponent >= 2.7 and tail <= 0.01 * total
     _report(
         "C6",
         ok,
-        f"velocity envelope slope {fit.slope:.3f} <= -2.7 (theory -3); "
+        f"velocity envelope exponent {fit.exponent:.3f} >= 2.7 (theory 3); "
         f"path length {total:.4f}, last-decade share {tail / total:.2e} <= 1%",
     )
-    assert fit.slope <= -2.7
+    assert fit.exponent >= 2.7
     assert tail <= 0.01 * total
 
 

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from inertial_rates import gridrun
+from inertial_rates import config, gridrun
 from inertial_rates.cli import main
 from inertial_rates.config import (
+    MAX_PROX_STEP,
     MAX_RECORDS,
     RUN_SCHEMA,
     ConfigError,
@@ -153,6 +154,19 @@ def test_record_count_is_capped(tmp_path):
         config_from_dict({**base, "steps": MAX_RECORDS - 1})
 
 
+def test_prox_step_is_capped(tmp_path):
+    doc = {"objective": "power:gamma=4,dim=1", "alpha": 6, "steps": 10,
+           "mode": "prox-nesterov", "outdir": str(tmp_path / "out")}
+    config_from_dict({**doc, "h": MAX_PROX_STEP})
+    config_from_dict({**doc, "h": 1e300, "mode": "nesterov"})  # no prox, no cap
+    with pytest.raises(ConfigError, match="prox-nesterov needs h <="):
+        config_from_dict({**doc, "h": 1e151})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**doc, "h": 1e290}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_steps_must_be_integral():
     with pytest.raises(ConfigError, match="integer"):
         config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10.5})
@@ -183,6 +197,28 @@ def test_grid_round_trip_and_expansion():
     assert cfg.objective == "power:gamma=1.5,dim=1"
     assert cfg.mode == "prox-nesterov"
     assert cfg.alpha == 1.0
+
+
+def test_grid_parses_each_cell_objective_once(monkeypatch):
+    """parse_config validates every cell and run_grid expands them again with
+    cells(); each pass parses a cell's objective once (16 cells, 16 calls)."""
+    calls = []
+    parse = config.parse_objective
+
+    def counting(spec):
+        calls.append(spec)
+        return parse(spec)
+
+    monkeypatch.setattr(config, "parse_objective", counting)
+    pairs = [[1.0 + 2.0 / g + 0.1 * (k + 1), g] for g in (3.0, 4.0) for k in range(8)]
+    grid = parse_config(json.dumps({
+        "grid": {"pairs": pairs, "parallelism": 2},
+        "run": {"mode": "nesterov", "h": 1e-5, "steps": 1_000_000, "stride": 1000},
+    }))
+    assert len(calls) == 16
+    calls.clear()
+    assert len(grid.cells()) == 16
+    assert len(calls) == 16
 
 
 def test_grid_cartesian_ranges():

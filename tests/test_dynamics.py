@@ -468,11 +468,11 @@ def test_gap_is_recorded_with_each_point(mode, spec, x0):
 @given(
     alpha=st.floats(0.5, 8.0),
     log_step=st.floats(-5.0, -2.0),
-    x0_abs=st.floats(1e-3, 2.0),
+    x0_u=st.floats(0.0, 1.0),
     x0_sign=st.sampled_from([-1.0, 1.0]),
     v0=st.floats(-1.0, 1.0),
 )
-def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0_abs,
+def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0_u,
                                                 x0_sign, v0):
     """power at dim 1 against power at dim 3 started on the first axis: the
     off-axis components stay exactly 0.  The gradient loops agree bit for bit
@@ -480,9 +480,14 @@ def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0
     (the radial prox rescales y by prox(|y|)/|y|, which rounds differently
     from the scalar prox) agree to a bounded relative drift.
 
-    |x0| stays above 1e-3: the radial norm underflows to 0 below ~1e-154,
-    where the dim-3 objective is flat and the dim-1 one is not.
+    |x0| is log-uniform on [1e-300, 2], which covers the range where the
+    squared sum inside the radial norm is subnormal.  RK4 at gamma 1.5 keeps
+    |x0| >= 1e-3: its right-hand side is only Hoelder at 0, and a start near
+    0 amplifies the last-bit gradient differences past the bound (6e-3
+    relative at x0 = -1e-7, dt = 1e-2, v0 = 0).
     """
+    lo = -3.0 if (mode, gamma) == ("ode-rk4", 1.5) else -300.0
+    x0_abs = 10.0 ** (lo + x0_u * (math.log10(2.0) - lo))
     steps, step, x0 = 500, 10.0 ** log_step, x0_sign * x0_abs
     flat, radial = make_power(gamma, 1), make_power(gamma, 3)
     if mode == "ode-rk4":

@@ -238,7 +238,7 @@ def test_velocity_decay_pure_damping_recovers_alpha():
     obj = _zero_objective()
     traj = run_ode(obj, alpha=3.0, dt=1e-3, t0=1.0, steps=99_000, x0=0.0, v0=1.0, stride=10)
     fit = velocity_decay_exponent(traj, 2.0, 90.0)
-    assert fit.slope == pytest.approx(-3.0, abs=1e-6)
+    assert fit.exponent == pytest.approx(3.0, abs=1e-6)
 
 
 def test_velocity_decay_degenerate_when_at_rest():

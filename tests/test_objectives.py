@@ -18,6 +18,7 @@ from inertial_rates.objectives import (
     prox_power,
     sample_ball,
 )
+from inertial_rates.config import MAX_PROX_STEP
 from inertial_rates.objectives import _prox_newton, _safe_pow
 
 
@@ -176,14 +177,20 @@ def test_prox_radial_matches_scalar():
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
-@pytest.mark.parametrize("r", [6.3e-174, 1e-200])
+@pytest.mark.parametrize("r", [6.3e-174, 1e-200, 1e-159, 1e-161, 1e155])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # gamma >= 2 overflows at 1e155
 def test_radial_power_below_norm_underflow_matches_dim1(gamma, r):
-    """np.linalg.norm underflows to 0 below ~1e-154; on an axis the radial
-    value, gradient and prox must still match the 1-D objective there."""
+    """np.linalg.norm is inexact below ~1.5e-154 (0 below ~1e-162) and inf
+    above ~1.3e154; on an axis the radial value, gradient and prox must still
+    match the 1-D objective there."""
     flat, radial = make_power(gamma, 1), make_power(gamma, 3)
     for x in (r, -r):
         on_axis = np.array([0.0, x, 0.0])
-        assert radial.value(on_axis) == pytest.approx(flat.value(x), rel=1e-12, abs=0.0)
+        try:
+            want = flat.value(x)
+        except OverflowError:  # the 1-D float ** raises where numpy gives inf
+            want = math.inf
+        assert radial.value(on_axis) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert radial.distance_to_minset(on_axis) == pytest.approx(r, rel=1e-12, abs=0.0)
         for got, want in ((radial.gradient(on_axis), flat.gradient(x)),
                           (radial.prox(1e-3, on_axis), flat.prox(1e-3, x))):
@@ -279,6 +286,33 @@ def test_prox_newton_roots_near_the_float_floor(gamma, h, y):
     underflow to 0; the residual there cannot reach the tolerance."""
     z = prox_power(gamma, h, y)
     assert abs(z) <= 1e-300 and math.copysign(1.0, z) == math.copysign(1.0, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(1.1, 8.0),
+    log_h=st.floats(-300.0, 150.0),
+    y=st.floats(min_value=-1.7976931348623157e308, max_value=1.7976931348623157e308,
+                allow_subnormal=True).filter(lambda v: v != 0.0),
+)
+def test_prox_newton_converges_up_to_the_step_cap(gamma, log_h, y):
+    """Every finite y != 0 and 1e-300 <= h <= config.MAX_PROX_STEP: Newton
+    meets its tolerance (or its root underflows to 0) within 200 iterations.
+    Two cases of tiny h and huge |y| once failed: |y|/(h gamma) overflowed and
+    the start fell back to |y|, and the penalty h*gamma*u**(gamma-1) past
+    the overflow of u**(gamma-1) was off by more than the tolerance."""
+    z = prox_power(gamma, min(10.0 ** log_h, MAX_PROX_STEP), y)
+    assert math.isfinite(z) and math.copysign(1.0, z) == math.copysign(1.0, y)
+
+
+@pytest.mark.parametrize("gamma, h, y", [
+    (5.714998896148783, 6.493888032188644e-212, -2.1554377199715058e+105),
+    (7.0, 1e-233, 1.2583851944036333e+76),   # u**6 overflows near the root
+])
+def test_prox_newton_roots_of_tiny_steps_and_huge_points(gamma, h, y):
+    z = prox_power(gamma, h, y)
+    root = math.exp((math.log(abs(y)) - math.log(h * gamma)) / (gamma - 1.0))
+    assert z == pytest.approx(math.copysign(root, y), rel=1e-12)
 
 
 def test_prox_newton_non_convergence_names_its_cause():

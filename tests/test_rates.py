@@ -9,7 +9,7 @@ from inertial_rates.rates import (
     BRANCH_INTERMEDIATE,
     BRANCH_SATURATED,
     BRANCH_SHARP,
-    fit_exponent,
+    fit_series,
     scheme_fit_cap,
     tail_model_residuals,
     theoretical_rate,
@@ -99,7 +99,7 @@ def test_rate_rejects_bad_input():
 
 def test_fit_exact_power_law():
     t = np.logspace(0, 3, 4000)
-    fit = fit_exponent(_gap_traj(t, t**-2.0), window=(0.0, 1.0))
+    fit = fit_series(t, t**-2.0, (t[0], t[-1]))
     assert fit.exponent == pytest.approx(2.0, abs=1e-6)
     assert fit.stderr <= 1e-6
 
@@ -107,19 +107,19 @@ def test_fit_exact_power_law():
 def test_fit_oscillating_power_law():
     t = np.linspace(1.0, 1000.0, 200_000)
     gap = t**-2.0 * (2.0 + np.sin(t))
-    fit = fit_exponent(_gap_traj(t, gap), window=(0.0, 1.0))
+    fit = fit_series(t, gap, (t[0], t[-1]))
     assert fit.exponent == pytest.approx(2.0, abs=0.05)
 
 
 def test_fit_constant_gap():
     t = np.logspace(0, 2, 500)
-    fit = fit_exponent(_gap_traj(t, np.ones_like(t)), window=(0.0, 1.0))
+    fit = fit_series(t, np.ones_like(t), (t[0], t[-1]))
     assert fit.exponent == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_degenerate_when_all_zero():
     t = np.logspace(0, 2, 100)
-    fit = fit_exponent(_gap_traj(t, np.zeros_like(t)))
+    fit = fit_series(t, np.zeros_like(t))
     assert fit.degenerate
 
 
@@ -127,13 +127,9 @@ def test_fit_errors_with_too_few_records():
     t = np.logspace(0, 2, 100)
     gap = t**-1.0
     with pytest.raises(ValueError):
-        fit_exponent(_gap_traj(t, gap), t_window=(50.0, 52.0))
-
-
-def test_fit_window_fraction_validation():
-    t = np.logspace(0, 2, 100)
-    with pytest.raises(ValueError):
-        fit_exponent(_gap_traj(t, t**-1.0), window=(0.9, 0.1))
+        fit_series(t, gap, (50.0, 52.0))
+    with pytest.raises(ValueError, match="envelope points"):
+        fit_series(t, t, (1.0, 10.0))  # rising: later samples exceed the window's
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +219,7 @@ def test_quadratic_rate_matches_alpha_and_beats_exponential_model():
     window = (cap / 4.0, 1.5 * cap)
     for alpha in (1.0, 6.0):
         traj = run_scheme(obj, alpha=alpha, h=1e-5, steps=400_000, x0=0.5, stride=10)
-        fit = fit_exponent(traj, t_window=window)
+        fit = fit_series(traj.t, traj.gap, window)
         assert fit.exponent == pytest.approx(alpha, abs=0.15)
         r_loglog, r_loglin = tail_model_residuals(traj, t_window=window)
         assert r_loglin > r_loglog
