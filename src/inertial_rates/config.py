@@ -15,15 +15,14 @@ from typing import Optional, Tuple, Union
 from .dynamics import MODES
 from .objectives import ObjectiveSpec, parse_objective
 
-LYAPUNOV_CHOICES = ("auto-sharp", "auto-flat", "manual")
-
 # recorded samples per run (steps // stride + 2 at most); each costs memory
 # whether or not the run steps to the end
 MAX_RECORDS = 10_000_000
 
 # largest prox-nesterov step: prox_power's Newton iteration converges for every
 # h up to here (it first fails near h ~ 1e248), so a prox run never ends in a
-# Newton error
+# Newton error; at the other end it can fail for subnormal h, so the smallest
+# step is the smallest normal float, sys.float_info.min
 MAX_PROX_STEP = 1e150
 
 
@@ -45,10 +44,6 @@ class ExperimentConfig:
     x0: Tuple[float, ...] = (0.5,)
     v0: Tuple[float, ...] = (0.0,)
     stride: int = 100
-    rate_override: Optional[float] = None
-    lyapunov: str = "auto-sharp"
-    lyapunov_lambda: Optional[float] = None
-    lyapunov_p: Optional[float] = None
     outdir: str = "out"
 
     def build_objective(self) -> ObjectiveSpec:
@@ -132,10 +127,6 @@ RUN_SCHEMA = {
     "x0": _as_point,
     "v0": _as_point,
     "stride": _as_int,
-    "rate_override": _or_null(_as_float),
-    "lyapunov": _as_str,
-    "lyapunov_lambda": _or_null(_as_float),
-    "lyapunov_p": _or_null(_as_float),
     "outdir": _as_str,
 }
 
@@ -187,6 +178,10 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         raise ConfigError(f"mode prox-nesterov needs a prox, {cfg.objective!r} has none")
     if cfg.mode == "prox-nesterov" and cfg.h > MAX_PROX_STEP:
         raise ConfigError(f"prox-nesterov needs h <= {MAX_PROX_STEP:g}, got {cfg.h:g}")
+    if cfg.mode == "prox-nesterov" and 0.0 < cfg.h < sys.float_info.min:
+        raise ConfigError(
+            f"prox-nesterov needs a normal h >= {sys.float_info.min:g}, got {cfg.h:g}"
+        )
     if cfg.mode == "ode-rk4":
         if cfg.dt <= 0.0 or cfg.t0 <= 0.0:
             raise ConfigError("ode-rk4 requires dt > 0 and t0 > 0")
@@ -203,12 +198,6 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
             f"x0/v0 must have dim {obj.dim} for {cfg.objective!r}, "
             f"got {len(cfg.x0)}/{len(cfg.v0)}"
         )
-    if cfg.lyapunov not in LYAPUNOV_CHOICES:
-        raise ConfigError(f"lyapunov must be one of {LYAPUNOV_CHOICES}, got {cfg.lyapunov!r}")
-    if cfg.lyapunov == "auto-flat" and obj.nominal_gamma <= 2.0:
-        raise ConfigError("lyapunov auto-flat requires an objective with gamma > 2")
-    if cfg.lyapunov == "manual" and (cfg.lyapunov_lambda is None or cfg.lyapunov_p is None):
-        raise ConfigError("lyapunov manual requires lyapunov_lambda and lyapunov_p")
 
 
 @dataclass(frozen=True)
@@ -314,7 +303,7 @@ def parse_config(text: str) -> Union[ExperimentConfig, GridSpec]:
 def render_config(cfg: Union[ExperimentConfig, GridSpec]) -> str:
     """Canonical JSON for a config; parse_config(render_config(c)) == c."""
     if isinstance(cfg, ExperimentConfig):
-        doc = {k: v for k, v in asdict(cfg).items() if v is not None}
+        doc = asdict(cfg)
     else:
         doc = {
             "grid": {

@@ -64,15 +64,12 @@ def default_fit_window(
     return (cap / 10.0, cap)
 
 
-def lyapunov_params_for(cfg: ExperimentConfig, gamma: float) -> lyapunov.LyapunovParams:
-    if cfg.lyapunov == "manual":
-        return lyapunov.manual_params(cfg.alpha, cfg.lyapunov_lambda, cfg.lyapunov_p)
-    hint = "flat" if cfg.lyapunov == "auto-flat" else "sharp"
-    return lyapunov.select_params(cfg.alpha, gamma, hint)
-
-
 def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "cell") -> CellResult:
-    """Run one experiment and write trajectory/energy/z/verdict files."""
+    """Run one experiment and write trajectory/energy/z/verdict files.
+
+    energy.csv and z.csv use the exponent of the (alpha, gamma) rate regime,
+    the one verdict.json tests; the energy uses the Lyapunov family of its
+    branch (flat on the saturated branch, sharp elsewhere)."""
     out = outdir if outdir is not None else cfg.outdir
     try:
         obj = cfg.build_objective()
@@ -86,12 +83,13 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
             io.write_json(vdict, os.path.join(out, "verdict.json"))
             return CellResult(label, cfg, vdict, None, error=traj.error)
         regime = rates.theoretical_rate(cfg.alpha, gamma)
-        rate = regime.exponent if cfg.rate_override is None else cfg.rate_override
-        params = lyapunov_params_for(cfg, gamma)
+        family = (lyapunov.REGIME_FLAT if regime.branch == rates.BRANCH_SATURATED
+                  else lyapunov.REGIME_SHARP)
+        params = lyapunov.select_params(cfg.alpha, gamma, family)
         x_star = energy_reference_point(obj, cfg.x0)
-        table = lyapunov.energy_along(traj, params, x_star=x_star, rate=rate)
+        table = lyapunov.energy_along(traj, params, x_star=x_star, rate=regime.exponent)
         io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
-        zs = rates.z_sequence(traj, rate)
+        zs = rates.z_sequence(traj, regime.exponent)
         io.write_z_csv(zs, os.path.join(out, "z.csv"), t_text=t_text)
         try:
             verdict = rates.verify_rate(

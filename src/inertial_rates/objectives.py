@@ -98,8 +98,8 @@ def prox_power(gamma: float, h: float, y: float) -> float:
     if gamma == 1.5:
         b = 1.5 * h
         s = ay / (0.5 * b + math.sqrt(0.25 * b * b + ay))  # cancellation-safe root
-        u = s * s
-        return math.copysign(ay if u == math.inf else u, y)  # s*s ~ |y| near the float max
+        # the exact prox is at most |y|; s*s can round above it (or overflow)
+        return math.copysign(min(s * s, ay), y)
     if gamma == 3.0:
         q = 3.0 * h * ay
         if q == math.inf:  # u = sqrt(ay/(3h)) to within a relative 1e-154

@@ -163,7 +163,8 @@ def tail_model_residuals(
 
 @dataclass(frozen=True)
 class ZSeries:
-    """gap * t**exponent over positive times, rescaled to max 1."""
+    """gap * t**exponent over positive times, rescaled to max 1; a series whose
+    maximum is zero or not finite is left unscaled and marked degenerate."""
 
     t: np.ndarray
     z: np.ndarray
@@ -179,8 +180,8 @@ def z_sequence(traj: Trajectory, exponent: float) -> ZSeries:
     t = traj.t[m]
     z = np.maximum(traj.gap[m], 0.0) * np.power(t, exponent)
     zmax = float(z.max()) if len(z) else 0.0
-    if zmax <= 0.0:
-        return ZSeries(t, z, 0.0, exponent, degenerate=True)
+    if not 0.0 < zmax < math.inf:  # all gaps zero, or one overflowed
+        return ZSeries(t, z, zmax, exponent, degenerate=True)
     return ZSeries(t, z / zmax, zmax, exponent)
 
 
@@ -224,7 +225,9 @@ def verify_rate(
     """
     zs = z_sequence(traj, regime.exponent)
     if zs.degenerate:
-        raise ValueError("verify_rate: all gaps are zero (degenerate trajectory)")
+        raise ValueError(
+            "verify_rate: degenerate z-sequence (all gaps are zero, or a gap overflowed)"
+        )
     t = zs.t
     l0, l1 = math.log10(t[0]), math.log10(t[-1])
     t_mid = 10.0 ** (0.5 * (l0 + l1))

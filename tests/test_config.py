@@ -1,10 +1,12 @@
 import json
 import math
+import sys
+from dataclasses import fields
 
 import pytest
 
 from inertial_rates import config, gridrun
-from inertial_rates.cli import main
+from inertial_rates.cli import build_parser, main
 from inertial_rates.config import (
     MAX_PROX_STEP,
     MAX_RECORDS,
@@ -26,7 +28,6 @@ def test_minimal_config_fills_defaults():
     assert cfg.stride == 100
     assert cfg.steps == 1_000_000
     assert cfg.x0 == (0.5,)
-    assert cfg.lyapunov == "auto-sharp"
 
 
 def test_auto_mode_picks_prox_for_sharp_gamma():
@@ -59,16 +60,6 @@ def test_bad_objective_is_config_error():
 
 
 def test_invalid_combinations_report_violation():
-    with pytest.raises(ConfigError, match="auto-flat"):
-        config_from_dict({
-            "objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
-            "lyapunov": "auto-flat",
-        })
-    with pytest.raises(ConfigError, match="manual"):
-        config_from_dict({
-            "objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
-            "lyapunov": "manual",
-        })
     with pytest.raises(ConfigError, match="alpha"):
         config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": -1, "steps": 10})
     with pytest.raises(ConfigError, match="x0"):
@@ -98,7 +89,7 @@ NAN, INF = math.nan, math.inf
     ("t0", NAN),
     ("x0", [INF]),
     ("v0", [NAN]),
-    ("lyapunov_lambda", NAN),
+    ("lyapunov_lambda", NAN),  # removed keys: unknown, whatever the value
     ("lyapunov_p", -INF),
     ("rate_override", NAN),
     ("objective", "power:gamma=NaN,dim=1"),
@@ -130,11 +121,10 @@ def test_null_numbers_rejected(tmp_path, key):
 
 
 def test_null_optional_numbers_mean_unset():
-    cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10,
-                            "rate_override": None, "lyapunov_lambda": None,
-                            "lyapunov_p": None})
-    assert cfg.rate_override is None and cfg.lyapunov_lambda is None
-    assert cfg.lyapunov_p is None
+    # mode is the one key whose null means unset: chosen from the objective
+    cfg = config_from_dict({"objective": "power:gamma=1.5,dim=1", "alpha": 6, "steps": 10,
+                            "mode": None})
+    assert cfg.mode == "prox-nesterov"
 
 
 def test_record_count_is_capped(tmp_path):
@@ -167,6 +157,20 @@ def test_prox_step_is_capped(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_subnormal_prox_step_is_rejected(tmp_path):
+    # prox_power's Newton iteration can fail for subnormal h; normal h is safe
+    doc = {"objective": "power:gamma=4,dim=1", "alpha": 6, "steps": 10,
+           "mode": "prox-nesterov", "outdir": str(tmp_path / "out")}
+    config_from_dict({**doc, "h": sys.float_info.min})
+    config_from_dict({**doc, "h": 5e-324, "mode": "nesterov"})  # no prox, no floor
+    with pytest.raises(ConfigError, match="prox-nesterov needs a normal h"):
+        config_from_dict({**doc, "h": sys.float_info.min / 2})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**doc, "h": 5e-324}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_steps_must_be_integral():
     with pytest.raises(ConfigError, match="integer"):
         config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10.5})
@@ -175,8 +179,7 @@ def test_steps_must_be_integral():
 def test_run_config_round_trip():
     cfg = config_from_dict({
         "objective": "power:gamma=1.5,dim=1", "alpha": 1.0, "steps": 1000,
-        "h": 1e-5, "stride": 10, "outdir": "results",
-        "rate_override": 0.857, "x0": [0.25],
+        "h": 1e-5, "stride": 10, "outdir": "results", "x0": [0.25],
     })
     again = parse_config(render_config(cfg))
     assert again == cfg
@@ -261,8 +264,38 @@ def test_config_not_json_or_not_object():
 # ---------------------------------------------------------------------------
 
 _BASE = {"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10}
-_NULL_MEANS_UNSET = {"mode", "rate_override", "lyapunov_lambda", "lyapunov_p"}
-_STRING_KEYS = {"objective", "mode", "lyapunov", "outdir"}
+_NULL_MEANS_UNSET = {"mode"}
+_STRING_KEYS = {"objective", "mode", "outdir"}
+# Keys the run schema no longer has, each with a value it once took: the rate
+# regime picks the z exponent and the Lyapunov family
+_REMOVED_KEYS = {"rate_override": 0.5, "lyapunov": "manual", "lyapunov_lambda": 3.0,
+                 "lyapunov_p": 1.0}
+
+
+def test_run_schema_config_fields_and_run_flags_agree():
+    assert list(RUN_SCHEMA) == [f.name for f in fields(ExperimentConfig)]
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    options = [opt for action in run._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")]
+    assert options == ["--config"] + ["--" + key.replace("_", "-") for key in RUN_SCHEMA]
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED_KEYS))
+def test_removed_run_keys_rejected(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)  # the default outdir must not appear either
+    value = _REMOVED_KEYS[key]
+    (tmp_path / "run.json").write_text(json.dumps({**_BASE, key: value}))
+    assert main(["run", "--config", "run.json"]) == 2
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"grid": {"pairs": [[6, 2]]}, "run": {"steps": 10, key: value}}))
+    assert main(["grid", "--config", "grid.json"]) == 2
+    assert key in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--objective", "power:gamma=2,dim=1", "--alpha", "6", "--steps", "10",
+              "--" + key.replace("_", "-"), str(value)])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "run.json"]
 
 
 def _wrong_typed_values():
@@ -277,6 +310,8 @@ def _wrong_typed_values():
     # reproduced one by one: each was accepted or raised a bare Python error
     cases += [("h", "0.001"), ("x0", [True]), ("objective", 5), ("outdir", 5),
               ("alpha", 10**400), ("steps", 10**400)]
+    # a removed key is an unknown key, whatever its value
+    cases += [(key, value) for key in _REMOVED_KEYS for value in (True, "1", {"a": 1}, None)]
     return [pytest.param(k, v, id=f"{k}={json.dumps(v)[:12]}") for k, v in cases]
 
 
@@ -332,8 +367,7 @@ def test_run_as_file_and_as_flags_is_one_config(tmp_path, monkeypatch):
         "objective": "power:gamma=2,dim=3", "alpha": 4.5, "steps": 2000,
         "mode": "ode-rk4", "h": 1e-4, "dt": 1e-3, "t0": 0.05,
         "x0": [1.0, -0.5, 0.25], "v0": [0.0, 0.0, 0.1], "stride": 10,
-        "rate_override": 0.5, "lyapunov": "manual", "lyapunov_lambda": 3.0,
-        "lyapunov_p": 1.0, "outdir": str(tmp_path / "out"),
+        "outdir": str(tmp_path / "out"),
     }
     assert set(doc) == set(RUN_SCHEMA)  # every run key, so every run flag
     seen = []

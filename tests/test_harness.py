@@ -113,6 +113,43 @@ def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     assert (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("run, branch, family", [
+    (SMALL_RUN, "sharp-subcritical", "sharp"),
+    (dict(SMALL_RUN, objective="power:gamma=4,dim=1", alpha=2.5), "flat-intermediate",
+     "sharp"),
+    (dict(SMALL_RUN, objective="power:gamma=3,dim=1", alpha=8.0), "flat-saturated", "flat"),
+])
+def test_run_cell_energy_uses_the_family_of_the_rate_branch(tmp_path, run, branch, family):
+    """energy.csv is the energy of the regime's Lyapunov family at the regime's
+    exponent, the one verdict.json tests: flat on the saturated branch only."""
+    cfg = config_from_dict(run)
+    res = run_cell(cfg, str(tmp_path / "cell"))
+    assert res.error is None and res.verdict["branch"] == branch
+    obj = cfg.build_objective()
+    traj = dynamics.run(cfg, obj)
+    gamma = obj.nominal_gamma
+    table = lyapunov.energy_along(
+        traj, lyapunov.select_params(cfg.alpha, gamma, family),
+        x_star=gridrun.energy_reference_point(obj, cfg.x0),
+        rate=rates.theoretical_rate(cfg.alpha, gamma).exponent,
+    )
+    io.write_energy_csv(table, str(tmp_path / "energy.csv"))
+    assert _read(tmp_path / "energy.csv") == _read(tmp_path / "cell" / "energy.csv")
+
+
+def test_run_cell_writes_no_nan_z_when_a_gap_overflows(tmp_path, recwarn):
+    cfg = config_from_dict({"objective": "power:gamma=4,dim=1", "alpha": 3.0,
+                            "mode": "nesterov", "h": 0.5, "x0": [3.0], "steps": 100,
+                            "stride": 1})
+    res = run_cell(cfg, str(tmp_path))
+    assert res.error.startswith("non-finite state at step")
+    assert "a gap overflowed" in res.verdict["verdict_error"]
+    z = (tmp_path / "z.csv").read_text().splitlines()
+    assert "nan" not in "".join(z) and z[-1].endswith(",inf")
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+                and w.filename.endswith(os.path.join("inertial_rates", "rates.py"))]
+
+
 def test_run_grid_marks_failed_cells(tmp_path, monkeypatch):
     # sabotage one cell through an unreadable lsq file at expansion-free level:
     # a cell whose objective file disappears between parse and run
@@ -366,8 +403,10 @@ def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, monkeypatch, run,
 
     obj = cfg.build_objective()
     traj = dynamics.run(cfg, obj)
-    rate = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma).exponent
-    params = gridrun.lyapunov_params_for(cfg, obj.nominal_gamma)
+    regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
+    rate = regime.exponent
+    family = "flat" if regime.branch == rates.BRANCH_SATURATED else "sharp"
+    params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma, family)
     x_star = gridrun.energy_reference_point(obj, cfg.x0)
     io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
     io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star, rate=rate),

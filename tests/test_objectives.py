@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inertial_rates.objectives import (
@@ -262,6 +262,20 @@ def test_prox_closed_form_matches_newton(gamma, log_h, y):
     penalty = _safe_pow(h * gamma, u, gamma - 1.0)
     if penalty < math.inf:  # inf only for |y| within ulps of the float max
         assert abs(u + penalty - abs(y)) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.floats(1.1, 8.0)),
+    h=st.floats(-300.0, 150.0).map(lambda e: 10.0 ** e),
+    y=st.floats(min_value=-1.7976931348623157e308, max_value=1.7976931348623157e308,
+                allow_subnormal=True).filter(lambda v: v != 0.0),
+)
+@example(gamma=1.5, h=1.085e-12, y=166617610.71128255)  # s*s rounded up past |y|
+def test_prox_never_exceeds_its_point(gamma, h, y):
+    """The exact prox shrinks y toward 0, so |prox(y)| <= |y| for the closed
+    forms (gamma 1, 1.5, 2, 3) and for Newton, up to config.MAX_PROX_STEP."""
+    assert abs(prox_power(gamma, h, y)) <= abs(y)
 
 
 @pytest.mark.parametrize("gamma, h, y", [

@@ -163,6 +163,18 @@ def test_z_degenerate():
     assert zs.degenerate
 
 
+def test_z_overflowed_gap_is_degenerate_not_nan():
+    t = np.logspace(0, 2, 50)
+    gap = t**-1.0
+    gap[-1] = math.inf
+    with np.errstate(all="raise"):  # no inf / inf
+        zs = z_sequence(_gap_traj(t, gap), 1.0)
+    assert zs.degenerate and zs.prenorm_max == math.inf
+    assert np.array_equal(zs.z, gap * t)  # left unnormalized
+    with pytest.raises(ValueError, match="all gaps are zero, or a gap overflowed"):
+        verify_rate(_gap_traj(t, gap), theoretical_rate(1.0, 2.0))
+
+
 def test_z_requires_finite_exponent():
     t = np.logspace(0, 2, 50)
     with pytest.raises(ValueError):
