@@ -22,6 +22,10 @@ from .objectives import ObjectiveSpec
 
 MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 
+# Steps whose extrapolation factors run_scheme computes in one numpy pass; the
+# factor memory of a run is bounded by it, whatever the stride.
+_FACTOR_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -143,10 +147,24 @@ def run_scheme(
 
     Each step extrapolates with factor n/(n+alpha), then takes a gradient
     step (or a proximal step with ``use_prox``).  Records every
-    ``stride``-th state plus first and last; the loop steps one record
-    interval at a time.  A non-finite state, or an OverflowError from the
-    objective, aborts the run; the partial trajectory carries an error marker
-    and the last finite state as its final record.
+    ``stride``-th state plus first and last.  The loop steps one record
+    interval at a time, split at multiples of ``_FACTOR_BLOCK``: the factors
+    of a block of steps come from one numpy pass (the same IEEE operations as
+    n/(n+alpha) per step, so the same bits), and the state is tested for
+    finiteness once, at the interval's end.  If that test fails, or a step
+    raises, the interval is replayed from its saved start one step at a time,
+    testing every state: a non-finite state, or an OverflowError from the
+    objective, aborts the run at that step, and any other exception
+    propagates from the step that raises it.  The partial trajectory carries
+    an error marker and the last finite state as its final record.
+
+    Deferring the test is exact under one precondition: a gradient step or
+    prox maps a non-finite point to a non-finite point, so a state that goes
+    non-finite inside an interval is still non-finite at its end.  IEEE
+    arithmetic guarantees this for y - h*grad(y), and every catalog prox
+    satisfies it.  An n-D run that diverges may emit extra numpy
+    RuntimeWarnings from the steps between its first non-finite state and
+    the end of that interval.
 
     Exact fixed points end the stepping early.  When x_n and x_{n-1} are
     identical bit for bit (sign bits included), x_n - x_{n-1} is +0.0 in
@@ -167,26 +185,39 @@ def run_scheme(
     rec = _Recorder(obj)
     rec.add(0, x, zero)
     error = None
+    base, factors = -_FACTOR_BLOCK, []  # factors[i] is the factor of step base + i
+    replay_end = 0
     k = 0
     while k < steps:
-        # at rest, take one step alone: if it returns x, x is a fixed point
+        if k - base == _FACTOR_BLOCK:
+            base = k
+            ns = np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)
+            factors = (ns / (ns + alpha)).tolist()
+        # at rest, take one step alone: if it returns x, x is a fixed point;
+        # a replayed interval goes one step at a time too
         at_rest = same(x, xp)
-        end = k + 1 if at_rest else min(k - k % stride + stride, steps)
-        for n in range(k, end):
-            m = n / (n + alpha)
-            y = x + m * (x - xp)
-            try:
-                xn = prox(h, y) if use_prox else y - h * grad(y)
-            except OverflowError:
-                xn = math.nan
-            if not finite(xn):
-                error = f"non-finite state at step {n + 1}"
-                if n % stride:
-                    rec.add(n, x, (x - xp) / sqrt_h)
-                break
-            xp = x
-            x = xn
-        if error is not None:
+        single = at_rest or k < replay_end
+        end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
+        start = x, xp
+        try:
+            for m in factors[k - base:end - base]:
+                y = x + m * (x - xp)
+                xp, x = x, prox(h, y) if use_prox else y - h * grad(y)
+            ok = finite(x)
+        except OverflowError:
+            ok = False
+        except Exception:
+            if single:
+                raise
+            ok = False
+        if not ok:
+            x, xp = start
+            if not single:
+                replay_end = end
+                continue
+            error = f"non-finite state at step {k + 1}"
+            if k % stride:
+                rec.add(k, x, (x - xp) / sqrt_h)
             break
         k = end
         if at_rest and same(x, xp):

@@ -117,7 +117,8 @@ def energy_along(
 
     ``rate`` defaults to the exponent certified by the parameters (p + 2);
     z = gap * t**rate.  Gaps are clamped at 0 so a stays nonnegative under
-    rounding.
+    rounding.  A record whose state overflowed has inf terms, and E and H are
+    nan there when xi < 0 (inf - inf has no sign); numpy warns for neither.
     """
     keep = traj.t > 0.0
     t = traj.t[keep]
@@ -133,12 +134,13 @@ def energy_along(
     d = x - xs
     lam, xi, p = params.lam, params.xi, params.p
     r = params.rate if rate is None else rate
-    a = t * gap
-    b = np.sum((lam * d + t[:, None] * v) ** 2, axis=1) / (2.0 * t)
-    c = np.sum(d * d, axis=1) / (2.0 * t)
-    E = t * (a + b + xi * c)
-    H = np.power(t, p) * E
-    z = gap * np.power(t, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = t * gap
+        b = np.sum((lam * d + t[:, None] * v) ** 2, axis=1) / (2.0 * t)
+        c = np.sum(d * d, axis=1) / (2.0 * t)
+        E = t * (a + b + xi * c)
+        H = np.power(t, p) * E
+        z = gap * np.power(t, r)
     return EnergyTable(t=t, a=a, b=b, c=c, E=E, H=H, z=z, params=params, rate=r)
 
 

@@ -375,6 +375,17 @@ def _inner(u: Point, v: Point) -> float:
     return float(np.dot(u, v))
 
 
+def _check_finite(caller: str, x_star: Point, **numbers: float) -> None:
+    """Reject a non-finite probe argument: a nan or inf center, radius,
+    exponent or constant turns the margins into nan or inf, and the verdict
+    into a vacuous "holds"."""
+    for key, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{caller} requires a finite {key}, got {value}")
+    if not np.all(np.isfinite(np.asarray(x_star, dtype=float))):
+        raise ValueError(f"{caller} requires a finite x_star, got {x_star}")
+
+
 def _probe(
     hypothesis: str,
     exponent: float,
@@ -388,9 +399,10 @@ def _probe(
     worst_i = -1
     holds = True
     for i, (m, g) in enumerate(zip(margins, gaps)):
-        if m < worst:
+        # a nan margin is the worst one and a violation
+        if m < worst or (math.isnan(m) and not math.isnan(worst)):
             worst, worst_i = m, i
-        if m < -TOL_PROBE * max(1.0, abs(g)):
+        if not m >= -TOL_PROBE * max(1.0, abs(g)):
             holds = False
     return GeometryProbeReport(
         hypothesis=hypothesis,
@@ -415,10 +427,12 @@ def probe_h1(
     """Sample the flatness inequality F(x) - F* <= (1/gamma) <grad F(x), x - x*>.
 
     The margin of a sample is rhs - lhs; the verdict is "holds" when every
-    margin clears -TOL_PROBE relative to max(1, |F(x) - F*|).
+    margin clears -TOL_PROBE relative to max(1, |F(x) - F*|); a nan margin
+    violates.  gamma, x_star and radius must be finite.
     """
-    if radius <= 0.0 or n_samples < 1:
-        raise ValueError("probe_h1 requires radius > 0 and n_samples >= 1")
+    _check_finite("probe_h1", x_star, gamma=gamma, radius=radius)
+    if gamma <= 0.0 or radius <= 0.0 or n_samples < 1:
+        raise ValueError("probe_h1 requires gamma > 0, radius > 0 and n_samples >= 1")
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
     margins, gaps = [], []
     for x in samples:
@@ -439,7 +453,9 @@ def probe_h2(
     n_samples: int = 200,
     seed: int = 0,
 ) -> GeometryProbeReport:
-    """Sample the growth inequality K * d(x, X*)**r <= F(x) - F*."""
+    """Sample the growth inequality K * d(x, X*)**r <= F(x) - F*; r, K,
+    x_star and radius must be finite."""
+    _check_finite("probe_h2", x_star, r=r, K=K, radius=radius)
     if radius <= 0.0 or n_samples < 1 or K <= 0.0:
         raise ValueError("probe_h2 requires radius > 0, n_samples >= 1, K > 0")
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)

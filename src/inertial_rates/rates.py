@@ -45,6 +45,10 @@ def theoretical_rate(alpha: float, gamma: float) -> RateRegime:
     In between only a matching lower bound is known; the branches agree at
     both boundaries.
     """
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise ValueError(
+            f"theoretical_rate requires finite alpha and gamma, got {alpha}, {gamma}"
+        )
     if alpha <= 0.0:
         raise ValueError(f"theoretical_rate requires alpha > 0, got {alpha}")
     if gamma < 1.0:

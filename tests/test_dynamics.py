@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inertial_rates.config import config_from_dict
+from inertial_rates.dynamics import _FACTOR_BLOCK as _BLOCK
 from inertial_rates.dynamics import MODES, run, run_ode, run_scheme
 from inertial_rates.objectives import (
     ObjectiveSpec,
+    make_least_squares,
     make_plateau,
     make_power,
     parse_objective,
@@ -295,20 +298,28 @@ def test_run_vector_dimension():
 # exact fixed points: records filled without stepping
 # ---------------------------------------------------------------------------
 
-def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, stride):
+def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, stride,
+                                     error_step=None):
     """Every record of traj (n, x, v, gap, sign bits included) equals the
-    written-out recurrence stepped to the end."""
+    written-out recurrence stepped to the end, or, for a run whose step
+    ``error_step`` goes non-finite, stepped to the state before it: records at
+    the stride multiples up to that state, that state itself as the last one,
+    and the error marker."""
     if use_prox:
         step = lambda y: obj.prox(h, y)
     else:
         step = lambda y: y - h * obj.gradient(y)
-    xs = _scheme_recurrence(step, alpha, x0, steps).reshape(steps + 1, obj.dim)
-    ns = list(range(0, steps + 1, stride)) + ([steps] if steps % stride else [])
+    last = steps if error_step is None else error_step - 1
+    xs = _scheme_recurrence(step, alpha, x0, last).reshape(last + 1, obj.dim)
+    ns = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
     vs = np.zeros_like(xs)
     vs[1:] = (xs[1:] - xs[:-1]) / math.sqrt(h)
     points = xs[ns, 0].tolist() if obj.dim == 1 else xs[ns]
     gaps = np.array([obj.value(p) - obj.f_star for p in points])
-    assert traj.error is None
+    if error_step is None:
+        assert traj.error is None
+    else:
+        assert traj.error == f"non-finite state at step {error_step}"
     assert list(traj.n) == ns
     for got, want in ((traj.x, xs[ns]), (traj.v, vs[ns]), (traj.gap, gaps)):
         assert np.array_equal(got, want)
@@ -506,3 +517,186 @@ def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0
         for p, q in ((a.x, b.x[:, :1]), (a.v, b.v[:, :1])):
             scale = float(np.max(np.abs(p))) or 1.0
             assert float(np.max(np.abs(p - q))) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------------
+# the interval loop: factor blocks, one finiteness test per record interval
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("stride", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 9_000])
+@pytest.mark.parametrize("spec, use_prox", [
+    ("power:gamma=3,dim=1", False), ("power:gamma=1.5,dim=1", True),
+    ("power:gamma=3,dim=3", False), ("power:gamma=2.5,dim=3", True),
+])
+def test_interval_loop_matches_recurrence(spec, use_prox, stride):
+    """9,000 steps: two full factor blocks and part of a third, and a step
+    count that is no multiple of the stride (except stride = steps)."""
+    obj = parse_objective(spec)
+    x0 = 0.6 if obj.dim == 1 else np.array([0.6, -0.2, 0.1])
+    traj = run_scheme(obj, 3.0, 1e-3, 9_000, x0, stride=stride, use_prox=use_prox)
+    _assert_records_match_recurrence(traj, obj, use_prox, 3.0, 1e-3, x0, 9_000, stride)
+
+
+def _rest_step(step, alpha, x0, steps):
+    """First n with x_n equal to x_{n-1} bit for bit, from the recurrence."""
+    xs = _scheme_recurrence(step, alpha, x0, steps)
+    same = (xs[1:] == xs[:-1]) & (np.signbit(xs[1:]) == np.signbit(xs[:-1]))
+    return int(np.argmax(same)) + 1
+
+
+@pytest.mark.parametrize("h, stride, rest", [
+    (1e-6, 7, 3949),           # at rest inside block 0, found at the next multiple of 7
+    (1e-6, 5_000, 3949),       # found at the block's end, no record before it
+    (9.235e-7, _BLOCK, _BLOCK),      # at rest exactly at the block's end
+    (9.235e-7, _BLOCK - 1, _BLOCK),  # ... one step after a record
+])
+def test_interval_loop_freezes_inside_and_at_the_end_of_a_block(h, stride, rest):
+    """The soft threshold extinguishes x from 0.1; the run stops stepping once
+    at rest, by the end of block 0, and still records the recurrence."""
+    obj = make_power(1.0)
+    assert _rest_step(lambda y: obj.prox(h, y), 3.0, 0.1, 9_000) == rest
+    calls = [0]
+
+    def prox(h, y):
+        calls[0] += 1
+        return obj.prox(h, y)
+
+    counted = ObjectiveSpec(**{**obj.__dict__, "prox": prox})
+    traj = run_scheme(counted, 3.0, h, 9_000, 0.1, stride=stride, use_prox=True)
+    assert calls[0] <= _BLOCK + 1
+    _assert_records_match_recurrence(traj, obj, True, 3.0, h, 0.1, 9_000, stride)
+
+
+def _cliff_objective(dim, c, beyond):
+    """F(x) = -<u, x>, a constant push along u, while the extrapolated point
+    has norm below c; at norm c and beyond, gradient and prox call
+    ``beyond(y)``."""
+    u = 1.0 if dim == 1 else np.array([1.0, 0.5, -0.25])
+    norm = abs if dim == 1 else np.linalg.norm
+    return ObjectiveSpec(
+        name="cliff", dim=dim, value=lambda x: -float(np.sum(u * x)),
+        gradient=lambda y: -u if norm(y) < c else beyond(y),
+        f_star=0.0, minimizer_hint=0.0, distance_to_minset=norm,
+        nominal_gamma=1.0, nominal_r=1.0,
+        prox=lambda h, y: y + h * u if norm(y) < c else beyond(y),
+    )
+
+
+def _cliff_at(dim, use_prox, j, beyond, h=1e-4):
+    """A cliff objective whose step j (counted from 1) is the first to reach
+    the cliff, the start it is run from, and the objective without a cliff."""
+    x0 = 0.5 if dim == 1 else 0.5 * np.array([1.0, 0.5, -0.25])
+    free = _cliff_objective(dim, math.inf, None)
+    step = (lambda y: free.prox(h, y)) if use_prox else (lambda y: y - h * free.gradient(y))
+    xs = _scheme_recurrence(step, 3.0, x0, j - 1)
+    x, x_prev = xs[-1], xs[-2] if j > 1 else x0
+    y = x + ((j - 1) / (j - 1 + 3.0)) * (x - x_prev)
+    c = abs(y) if dim == 1 else np.linalg.norm(y)
+    return _cliff_objective(dim, c, beyond), x0, y
+
+
+def _to_infinity(y):
+    return math.inf if np.ndim(y) == 0 else math.inf * np.array([1.0, 0.5, -0.25])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("use_prox", [False, True])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("stride", [7, _BLOCK])
+@pytest.mark.parametrize("j", [
+    1,               # the first step
+    73,              # mid-interval (stride 7)
+    77,              # an interval's last step (stride 7)
+    _BLOCK,          # the last step of block 0
+    _BLOCK + 1,      # the first step of block 1
+    5_000,           # the run's last step
+])
+def test_interval_loop_divergence_matches_per_step_reference(j, stride, dim, use_prox):
+    """Step j is the first non-finite state: same marker, records up to the
+    state before it and that state as the last record, as stepping and
+    testing one step at a time gives."""
+    obj, x0, _ = _cliff_at(dim, use_prox, j, _to_infinity)
+    traj = run_scheme(obj, 3.0, 1e-4, 5_000, x0, stride=stride, use_prox=use_prox)
+    _assert_records_match_recurrence(traj, obj, use_prox, 3.0, 1e-4, x0, 5_000, stride,
+                                     error_step=j)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("j", [1, 73, _BLOCK + 1])
+def test_overflow_error_at_step_j_gives_marker_step_j(j, dim):
+    def overflow(y):
+        raise OverflowError(34, "Numerical result out of range")
+
+    obj, x0, _ = _cliff_at(dim, False, j, overflow)
+    traj = run_scheme(obj, 3.0, 1e-4, 5_000, x0, stride=100)
+    _assert_records_match_recurrence(traj, obj, False, 3.0, 1e-4, x0, 5_000, 100,
+                                     error_step=j)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("j", [1, 73, _BLOCK + 1])
+def test_other_exceptions_propagate_from_their_step(j, dim):
+    """Not a non-finite state: the ValueError leaves run_scheme, raised at the
+    extrapolated point of step j."""
+    def fail(y):
+        raise ValueError(y)
+
+    obj, x0, y = _cliff_at(dim, False, j, fail)
+    with pytest.raises(ValueError) as info:
+        run_scheme(obj, 3.0, 1e-4, 5_000, x0, stride=100)
+    assert np.array_equal(info.value.args[0], y)
+
+
+_CATALOG = [f"power:gamma={g},dim={d}" for g in (1, 1.5, 2, 2.5, 3, 4) for d in (1, 3)] + [
+    f"plateau:gamma={g},a=0.5" for g in (1, 1.5, 2, 3)] + ["lsq"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec", _CATALOG)
+def test_steps_map_non_finite_points_to_non_finite_points(spec):
+    """The precondition of the deferred finiteness test: a gradient step or
+    prox of a catalog objective never brings a non-finite point back."""
+    if spec == "lsq":
+        obj = make_least_squares(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 1.0]]),
+                                 np.array([1.0, 0.0]))
+    else:
+        obj = parse_objective(spec)
+    if obj.dim == 1:
+        points = [math.inf, -math.inf, math.nan]
+    else:
+        points = [np.array(p) for p in ([math.inf, 0.0, 0.0], [0.0, -math.inf, 1.0],
+                                        [math.nan, 0.5, 0.0], [math.inf, -math.inf, 0.0])]
+    for y in points:
+        for h in (1e-5, 0.5, 10.0):
+            assert not np.all(np.isfinite(y - h * obj.gradient(y)))
+            assert not np.all(np.isfinite(obj.prox(h, y)))
+
+
+def test_factor_memory_is_bounded_by_the_block():
+    """A single record interval of 2e5 steps holds one block of factors at a
+    time, not 2e5 of them."""
+    tracemalloc.start()
+    try:
+        run_scheme(make_power(2.0), 3.0, 1e-5, 200_000, 0.6, stride=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_scheme_converges_to_the_flow_at_first_order_in_sqrt_h(gamma):
+    """Under t = n sqrt(h), x_n at T = 2 approaches the flow's x(2) (RK4 with
+    dt = 2**-16 from rest at t0 = dt, alpha 3, x0 0.8) at first order in
+    sqrt(h): each 4x smaller h (h = 4**-k, k = 5..8) halves the error."""
+    obj = make_power(gamma)
+    dt = 2.0 ** -16
+    flow = run_ode(obj, 3.0, dt, dt, 2 * 2**16 - 1, 0.8, stride=2**20)
+    assert flow.t[-1] == 2.0
+    errors = []
+    for k in range(5, 9):
+        traj = run_scheme(obj, 3.0, 4.0 ** -k, 2 * 2**k, 0.8, stride=2**20)
+        assert traj.t[-1] == 2.0
+        errors.append(abs(traj.x[-1, 0] - flow.x[-1, 0]))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 1.8 <= coarse / fine <= 2.2

@@ -150,6 +150,24 @@ def test_run_cell_writes_no_nan_z_when_a_gap_overflows(tmp_path, recwarn):
                 and w.filename.endswith(os.path.join("inertial_rates", "rates.py"))]
 
 
+def test_run_cell_energy_of_an_overflowed_record_does_not_warn(tmp_path, recwarn):
+    """The last record of this run overflowed: its energy row has (a, b, c,
+    E, H, z) = (inf, inf, inf, nan, nan, inf), since xi < 0 makes E inf - inf.
+    Every earlier row is finite, and lyapunov.py emits no numpy warning."""
+    cfg = config_from_dict({"objective": "power:gamma=4,dim=1", "alpha": 3.0,
+                            "mode": "nesterov", "h": 0.5, "x0": [3.0], "steps": 100,
+                            "stride": 1})
+    res = run_cell(cfg, str(tmp_path))
+    assert res.error.startswith("non-finite state at step")
+    rows = (tmp_path / "energy.csv").read_text().splitlines()[1:]
+    *finite, last = [[float(v) for v in row.split(",")] for row in rows]
+    assert finite and np.all(np.isfinite(finite))
+    assert np.array_equal(last[1:], [math.inf, math.inf, math.inf, math.nan, math.nan, math.inf],
+                          equal_nan=True)
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
+                and w.filename.endswith(os.path.join("inertial_rates", "lyapunov.py"))]
+
+
 def test_run_grid_marks_failed_cells(tmp_path, monkeypatch):
     # sabotage one cell through an unreadable lsq file at expansion-free level:
     # a cell whose objective file disappears between parse and run
@@ -467,6 +485,26 @@ def test_cli_probe_exit_codes(capsys):
 
 def test_cli_probe_needs_a_hypothesis():
     assert main(["probe", "--objective", "power:gamma=2,dim=1"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--h1", "3", "--radius", "nan"],
+    ["--h2", "3", "--K", "nan"],
+    ["--h1", "nan"],
+    ["--h2", "nan"],
+    ["--h1", "3", "--x-star", "nan"],
+    ["--h1", "3", "--radius", "inf"],
+    ["--h1", "0"],  # the margin divides by gamma
+])
+def test_cli_probe_rejects_non_finite_numbers_and_gamma_0(flags, capsys):
+    assert main(["probe", "--objective", "power:gamma=3,dim=1", *flags]) == 2
+    assert "holds" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_cli_rate_rejects_non_finite_numbers(alpha, capsys):
+    assert main(["rate", "--alpha", alpha, "--gamma", "3"]) == 2
+    assert "branch" not in capsys.readouterr().out
 
 
 def test_cli_run_inline_flags(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inertial_rates.objectives import (
+    ObjectiveSpec,
     check_gradient,
     flatness_constant,
     gamma_from_lipschitz,
@@ -412,6 +413,37 @@ def test_plateau_growth_at_extremal_point():
     rep = probe_h2(obj, 2.0, 1.0, 1.0, 1.0, 200, seed=3)
     assert rep.holds
     assert abs(rep.worst_margin) <= 1e-12  # gap equals d(x, X*)^2 exactly
+
+
+@pytest.mark.parametrize("probe, args", [
+    (probe_h1, dict(gamma=math.nan)),
+    (probe_h1, dict(radius=math.nan)),
+    (probe_h1, dict(radius=math.inf)),
+    (probe_h1, dict(x_star=math.nan)),
+    (probe_h2, dict(r=math.nan)),
+    (probe_h2, dict(K=math.nan)),
+    (probe_h2, dict(K=math.inf)),
+    (probe_h2, dict(x_star=np.array([0.0, math.inf]))),
+])
+def test_probes_reject_non_finite_arguments(probe, args):
+    dim = 2 if isinstance(args.get("x_star"), np.ndarray) else 1
+    base = dict(obj=make_power(3.0, dim), x_star=0.0 if dim == 1 else np.zeros(2),
+                radius=1.0)
+    base.update(dict(gamma=3.0) if probe is probe_h1 else dict(r=3.0, K=1.0))
+    with pytest.raises(ValueError, match="finite"):
+        probe(**{**base, **args})
+
+
+def test_probe_counts_a_nan_margin_as_the_worst_violation():
+    """A margin that is nan (here from a nan gradient at every sample but the
+    first few) can never make a vacuous "holds"."""
+    obj = make_power(2.0)
+    samples = sample_ball(0.0, 1.0, 50, seed=1, dim=1)
+    bad = ObjectiveSpec(**{**obj.__dict__,
+                           "gradient": lambda x: 2.0 * x if x in samples[:3] else math.nan})
+    rep = probe_h1(bad, 2.0, 0.0, 1.0, 50, seed=1)
+    assert not rep.holds and math.isnan(rep.worst_margin)
+    assert rep.witness == samples[3]
 
 
 @settings(max_examples=40, deadline=None)

@@ -93,6 +93,14 @@ def test_rate_rejects_bad_input():
         theoretical_rate(1.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha, gamma", [
+    (math.nan, 3.0), (math.inf, 3.0), (3.0, math.nan), (3.0, math.inf),
+])
+def test_rate_rejects_non_finite_input(alpha, gamma):
+    with pytest.raises(ValueError, match="finite"):
+        theoretical_rate(alpha, gamma)
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 # ---------------------------------------------------------------------------
