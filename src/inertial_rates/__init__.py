@@ -5,6 +5,7 @@ from .objectives import (
     GammaBound,
     GeometryProbeReport,
     ObjectiveSpec,
+    as_point,
     check_gradient,
     flatness_constant,
     gamma_from_lipschitz,
@@ -15,6 +16,7 @@ from .objectives import (
     probe_h1,
     probe_h2,
     prox_power,
+    reference_point,
 )
 from .dynamics import Trajectory, run, run_ode, run_scheme
 from .lyapunov import (

@@ -19,7 +19,7 @@ from .config import (
     load_config,
     parse_document,
 )
-from .objectives import parse_objective, probe_h1, probe_h2
+from .objectives import parse_objective, probe_h1, probe_h2, reference_point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,13 +137,7 @@ def _cmd_probe(args) -> int:
     obj = parse_objective(args.objective)
     if not args.h1 and not args.h2:
         raise ConfigError("probe needs at least one --h1 or --h2")
-    x_star = _point_arg(args.x_star)
-    if x_star is None:
-        hint = obj.minimizer_hint
-        x_star = [hint[1]] if isinstance(hint, tuple) else (
-            [hint] if obj.dim == 1 else list(hint)
-        )
-    center = x_star[0] if obj.dim == 1 else x_star
+    center = reference_point(obj) if args.x_star is None else _point_arg(args.x_star)
     ok = True
     for g in args.h1:
         rep = probe_h1(obj, g, center, args.radius, args.samples, args.seed)

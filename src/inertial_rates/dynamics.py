@@ -2,9 +2,9 @@
 proximal steps, time map t_n = n*sqrt(h)) and a fixed-step RK4 integrator of
 the damped second-order flow  x'' + (alpha/t) x' + grad F(x) = 0.
 
-Each dynamics has one stepping loop, written once for both point forms:
-Python floats in dimension 1, where a step costs a small fraction of the
-array form's, and float arrays otherwise.
+Each dynamics has one stepping loop, written once for both point forms
+(objectives.as_point): Python floats in dimension 1, where a step costs a
+small fraction of the array form's, and float arrays otherwise.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, as_point
 
 MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 
@@ -62,24 +62,19 @@ class Trajectory:
 
 
 def _point_form(dim: int):
-    """(point conversion, zero velocity, finiteness test, bit-equality test)
-    for one dimension.
+    """(finiteness test, bit-equality test) for the point form of one
+    dimension, forked since they run at every step.
 
-    Dimension 1 runs on Python floats, higher dimensions on float arrays; the
-    loops below are written once for both.  Steps never update a point in
-    place, so recorded points need no copy.  Bit equality is value equality
-    plus equal sign bits (-0.0 == 0.0 but the two step differently).
+    Steps never update a point in place, so recorded points need no copy.
+    Bit equality is value equality plus equal sign bits (-0.0 == 0.0 but the
+    two step differently).
     """
     if dim == 1:
         return (
-            lambda p: float(np.asarray(p).reshape(())),
-            0.0,
             math.isfinite,
             lambda a, b: a == b and math.copysign(1.0, a) == math.copysign(1.0, b),
         )
     return (
-        lambda p: np.array(p, dtype=float).reshape(dim),
-        np.zeros(dim),
         lambda p: bool(np.isfinite(p).all()),
         lambda a, b: a.tobytes() == b.tobytes(),
     )
@@ -162,9 +157,8 @@ def run_scheme(
     prox maps a non-finite point to a non-finite point, so a state that goes
     non-finite inside an interval is still non-finite at its end.  IEEE
     arithmetic guarantees this for y - h*grad(y), and every catalog prox
-    satisfies it.  An n-D run that diverges may emit extra numpy
-    RuntimeWarnings from the steps between its first non-finite state and
-    the end of that interval.
+    satisfies it.  The loop runs with numpy's overflow and invalid-value
+    warnings off, so an n-D run that diverges warns no more than a 1-D one.
 
     Exact fixed points end the stepping early.  When x_n and x_{n-1} are
     identical bit for bit (sign bits included), x_n - x_{n-1} is +0.0 in
@@ -179,52 +173,53 @@ def run_scheme(
     if use_prox and obj.prox is None:
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
-    point, zero, finite, same = _point_form(obj.dim)
+    finite, same = _point_form(obj.dim)
     grad, prox = obj.gradient, obj.prox
-    x = xp = point(x0)
-    rec = _Recorder(obj)
-    rec.add(0, x, zero)
-    error = None
-    base, factors = -_FACTOR_BLOCK, []  # factors[i] is the factor of step base + i
-    replay_end = 0
-    k = 0
-    while k < steps:
-        if k - base == _FACTOR_BLOCK:
-            base = k
-            ns = np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)
-            factors = (ns / (ns + alpha)).tolist()
-        # at rest, take one step alone: if it returns x, x is a fixed point;
-        # a replayed interval goes one step at a time too
-        at_rest = same(x, xp)
-        single = at_rest or k < replay_end
-        end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
-        start = x, xp
-        try:
-            for m in factors[k - base:end - base]:
-                y = x + m * (x - xp)
-                xp, x = x, prox(h, y) if use_prox else y - h * grad(y)
-            ok = finite(x)
-        except OverflowError:
-            ok = False
-        except Exception:
-            if single:
-                raise
-            ok = False
-        if not ok:
-            x, xp = start
-            if not single:
-                replay_end = end
-                continue
-            error = f"non-finite state at step {k + 1}"
-            if k % stride:
+    x = xp = as_point(x0, obj.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = _Recorder(obj)
+        rec.add(0, x, as_point(np.zeros(obj.dim), obj.dim))
+        error = None
+        base, factors = -_FACTOR_BLOCK, []  # factors[i] is the factor of step base + i
+        replay_end = 0
+        k = 0
+        while k < steps:
+            if k - base == _FACTOR_BLOCK:
+                base = k
+                ns = np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)
+                factors = (ns / (ns + alpha)).tolist()
+            # at rest, take one step alone: if it returns x, x is a fixed point;
+            # a replayed interval goes one step at a time too
+            at_rest = same(x, xp)
+            single = at_rest or k < replay_end
+            end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
+            start = x, xp
+            try:
+                for m in factors[k - base:end - base]:
+                    y = x + m * (x - xp)
+                    xp, x = x, prox(h, y) if use_prox else y - h * grad(y)
+                ok = finite(x)
+            except OverflowError:
+                ok = False
+            except Exception:
+                if single:
+                    raise
+                ok = False
+            if not ok:
+                x, xp = start
+                if not single:
+                    replay_end = end
+                    continue
+                error = f"non-finite state at step {k + 1}"
+                if k % stride:
+                    rec.add(k, x, (x - xp) / sqrt_h)
+                break
+            k = end
+            if at_rest and same(x, xp):
+                rec.fill(k, steps, stride, x, (x - xp) / sqrt_h)
+                break
+            if k % stride == 0 or k == steps:
                 rec.add(k, x, (x - xp) / sqrt_h)
-            break
-        k = end
-        if at_rest and same(x, xp):
-            rec.fill(k, steps, stride, x, (x - xp) / sqrt_h)
-            break
-        if k % stride == 0 or k == steps:
-            rec.add(k, x, (x - xp) / sqrt_h)
     return rec.trajectory(
         error, sqrt_h, mode="prox-nesterov" if use_prox else "nesterov",
         alpha=alpha, step=h, t0=0.0, stride=stride,
@@ -246,53 +241,54 @@ def run_ode(
     The system is x' = v, v' = -(alpha/t) v - grad F(x).  t0 is clamped up
     to dt (the damping is singular at 0, t0 > 0 mandatory), so no stage
     samples the damping at t <= 0; times are t0 + k*dt computed from the
-    step index.  Divergence is handled as in run_scheme.
+    step index.  Divergence and numpy warnings are handled as in run_scheme.
     """
     if alpha <= 0.0 or dt <= 0.0 or steps < 1 or stride < 1:
         raise ValueError("run_ode requires alpha > 0, dt > 0, steps >= 1, stride >= 1")
     if t0 <= 0.0:
         raise ValueError(f"run_ode requires t0 > 0, got {t0}")
     t0 = max(t0, dt)
-    point, zero, finite, _ = _point_form(obj.dim)
+    finite, _ = _point_form(obj.dim)
     grad = obj.gradient
-    x = point(x0)
-    v = zero if v0 is None else point(v0)
-    rec = _Recorder(obj)
-    rec.add(0, x, v)
-    error = None
-    for k in range(steps):
-        t = t0 + k * dt
-        try:
-            a1x = v
-            a1v = -(alpha / t) * v - grad(x)
-            t2 = t + 0.5 * dt
-            x2 = x + 0.5 * dt * a1x
-            v2 = v + 0.5 * dt * a1v
-            a2x = v2
-            a2v = -(alpha / t2) * v2 - grad(x2)
-            x3 = x + 0.5 * dt * a2x
-            v3 = v + 0.5 * dt * a2v
-            a3x = v3
-            a3v = -(alpha / t2) * v3 - grad(x3)
-            t4 = t + dt
-            x4 = x + dt * a3x
-            v4 = v + dt * a3v
-            a4x = v4
-            a4v = -(alpha / t4) * v4 - grad(x4)
-            xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-            vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        except OverflowError:
-            xn = vn = math.nan
-        if not (finite(xn) and finite(vn)):
-            error = f"non-finite state at step {k + 1}"
-            if k % stride:
-                rec.add(k, x, v)
-            break
-        x = xn
-        v = vn
-        kk = k + 1
-        if kk % stride == 0 or kk == steps:
-            rec.add(kk, x, v)
+    x = as_point(x0, obj.dim)
+    v = as_point(np.zeros(obj.dim) if v0 is None else v0, obj.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = _Recorder(obj)
+        rec.add(0, x, v)
+        error = None
+        for k in range(steps):
+            t = t0 + k * dt
+            try:
+                a1x = v
+                a1v = -(alpha / t) * v - grad(x)
+                t2 = t + 0.5 * dt
+                x2 = x + 0.5 * dt * a1x
+                v2 = v + 0.5 * dt * a1v
+                a2x = v2
+                a2v = -(alpha / t2) * v2 - grad(x2)
+                x3 = x + 0.5 * dt * a2x
+                v3 = v + 0.5 * dt * a2v
+                a3x = v3
+                a3v = -(alpha / t2) * v3 - grad(x3)
+                t4 = t + dt
+                x4 = x + dt * a3x
+                v4 = v + dt * a3v
+                a4x = v4
+                a4v = -(alpha / t4) * v4 - grad(x4)
+                xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+                vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
+            except OverflowError:
+                xn = vn = math.nan
+            if not (finite(xn) and finite(vn)):
+                error = f"non-finite state at step {k + 1}"
+                if k % stride:
+                    rec.add(k, x, v)
+                break
+            x = xn
+            v = vn
+            kk = k + 1
+            if kk % stride == 0 or kk == steps:
+                rec.add(kk, x, v)
     return rec.trajectory(
         error, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0, stride=stride
     )

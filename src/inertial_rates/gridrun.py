@@ -11,13 +11,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import dynamics, io, lyapunov, rates
 from .config import ExperimentConfig, GridSpec
-from .objectives import ObjectiveSpec
+from .objectives import reference_point
 
 WORKERS_ENV = "INERTIAL_RATES_WORKERS"
 
@@ -33,16 +33,6 @@ class CellResult:
     def summary_row(self) -> dict:
         """The verdict with label and error; write_summary picks its columns."""
         return {"label": self.label, "error": self.error, **(self.verdict or {})}
-
-
-def energy_reference_point(obj: ObjectiveSpec, x0: Sequence[float]):
-    """Minimizer used in the energy: the hint itself, or for an interval
-    minimizer set the extremal point on the side the run starts from."""
-    hint = obj.minimizer_hint
-    if isinstance(hint, tuple):
-        lo, hi = hint
-        return hi if float(x0[0]) >= 0.0 else lo
-    return hint
 
 
 def default_fit_window(
@@ -68,8 +58,8 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
     """Run one experiment and write trajectory/energy/z/verdict files.
 
     energy.csv and z.csv use the exponent of the (alpha, gamma) rate regime,
-    the one verdict.json tests; the energy uses the Lyapunov family of its
-    branch (flat on the saturated branch, sharp elsewhere)."""
+    the one verdict.json tests; the energy uses select_params' default
+    Lyapunov family for that regime, centred on reference_point(obj, x0)."""
     out = outdir if outdir is not None else cfg.outdir
     try:
         obj = cfg.build_objective()
@@ -83,10 +73,8 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
             io.write_json(vdict, os.path.join(out, "verdict.json"))
             return CellResult(label, cfg, vdict, None, error=traj.error)
         regime = rates.theoretical_rate(cfg.alpha, gamma)
-        family = (lyapunov.REGIME_FLAT if regime.branch == rates.BRANCH_SATURATED
-                  else lyapunov.REGIME_SHARP)
-        params = lyapunov.select_params(cfg.alpha, gamma, family)
-        x_star = energy_reference_point(obj, cfg.x0)
+        params = lyapunov.select_params(cfg.alpha, gamma)
+        x_star = reference_point(obj, cfg.x0)
         table = lyapunov.energy_along(traj, params, x_star=x_star, rate=regime.exponent)
         io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
         zs = rates.z_sequence(traj, regime.exponent)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dynamics import Trajectory
-from .rates import SeriesFit, fit_series
+from .rates import BRANCH_SATURATED, SeriesFit, fit_series, theoretical_rate
 
 REGIME_SHARP = "sharp"
 REGIME_FLAT = "flat"
@@ -59,14 +59,18 @@ def select_params(
 ) -> LyapunovParams:
     """Parameter family for the given damping and flatness exponent.
 
-    Default: sharp family for gamma1 <= 2, flat family otherwise.  The flat
-    family is only defined for gamma1 > 2.
+    Default: the family that certifies the branch of
+    rates.theoretical_rate(alpha, gamma1), flat on the saturated branch and
+    sharp elsewhere.  The flat family is only defined for gamma1 > 2.
     """
     if alpha <= 0.0:
         raise ValueError(f"select_params requires alpha > 0, got {alpha}")
     if gamma1 < 1.0:
         raise ValueError(f"select_params requires gamma1 >= 1, got {gamma1}")
-    regime = regime_hint or (REGIME_SHARP if gamma1 <= 2.0 else REGIME_FLAT)
+    regime = regime_hint or (
+        REGIME_FLAT if theoretical_rate(alpha, gamma1).branch == BRANCH_SATURATED
+        else REGIME_SHARP
+    )
     if regime == REGIME_SHARP:
         lam = 2.0 * alpha / (gamma1 + 2.0)
         p = 2.0 * gamma1 * alpha / (gamma1 + 2.0) - 2.0

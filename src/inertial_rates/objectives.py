@@ -2,9 +2,10 @@
 sampling probes for the flatness / growth geometry hypotheses.
 
 Catalog entries are 1-D by default; power objectives extend radially to R^n.
-Points are plain floats in dimension 1 and numpy arrays otherwise.  The
-simulation loops are written once for both forms, so dimension 1 runs free of
-array overhead.  Catalog parameters must be finite.
+Points are plain floats in dimension 1 and numpy arrays otherwise (as_point
+is the one definition of that form).  The simulation loops are written once
+for both forms, so dimension 1 runs free of array overhead.  Catalog
+parameters must be finite.
 """
 from __future__ import annotations
 
@@ -24,11 +25,11 @@ TOL_PROBE = 1e-10
 class ObjectiveSpec:
     """An objective F with exact minimum value and analytic geometry data.
 
-    ``value``/``gradient``/``prox`` operate on floats when ``dim == 1`` and on
-    numpy arrays otherwise.  ``prox`` maps ``(h, y)`` to
+    ``value``/``gradient``/``prox`` take and return points in the form of
+    ``as_point``.  ``prox`` maps ``(h, y)`` to
     ``argmin_x 0.5*|x - y|^2 + h*F(x)`` and may be absent.
     ``minimizer_hint`` is a point, or an ``(lo, hi)`` interval when the
-    minimizer set is not a single point.
+    minimizer set is not a single point; ``reference_point`` picks from it.
     """
 
     name: str
@@ -39,7 +40,6 @@ class ObjectiveSpec:
     minimizer_hint: object
     distance_to_minset: Callable[[Point], float]
     nominal_gamma: float
-    nominal_r: float
     prox: Optional[Callable[[float, Point], Point]] = None
 
 
@@ -67,6 +67,28 @@ class GammaBound:
 
     gamma: float
     in_range: bool  # gamma within the admissible interval (1, 2]
+
+
+def as_point(coords, dim: int) -> Point:
+    """The point form of ``dim`` coordinates: a Python float at dimension 1
+    and a ``(dim,)`` float array otherwise.  ``coords`` is a number, or a
+    sequence or array of ``dim`` numbers; the array may share its memory.
+    Raises ValueError when the coordinate count is not ``dim``."""
+    p = np.asarray(coords, dtype=float).reshape(-1)
+    if p.size != dim:
+        raise ValueError(f"a point of dimension {dim} takes {dim} coordinate(s), got {p.size}")
+    return float(p[0]) if dim == 1 else p
+
+
+def reference_point(obj: ObjectiveSpec, x0=None) -> Point:
+    """The minimizer that energies and probes are centred on, in point form:
+    the hint itself, or for an ``(lo, hi)`` interval of minimizers the end on
+    the side of ``x0`` (``hi`` for x0 >= 0 and when x0 is None)."""
+    hint = obj.minimizer_hint
+    if isinstance(hint, tuple):
+        lo, hi = hint
+        hint = hi if x0 is None or as_point(x0, 1) >= 0.0 else lo
+    return as_point(hint, obj.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +280,6 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         minimizer_hint=hint,
         distance_to_minset=dist,
         nominal_gamma=gamma,
-        nominal_r=gamma,
         prox=prox,
     )
 
@@ -296,7 +317,6 @@ def make_plateau(gamma: float, a: float) -> ObjectiveSpec:
         minimizer_hint=(-a, a),
         distance_to_minset=lambda x: max(abs(x) - a, 0.0),
         nominal_gamma=gamma,
-        nominal_r=gamma,
         prox=prox,
     )
 
@@ -324,17 +344,18 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
     Atb = A.T @ b
 
     def value(x):
-        r = A @ x - b
+        r = A @ np.asarray(x).reshape(n) - b
         return 0.5 * float(r @ r)
 
     def gradient(x):
-        return A.T @ (A @ x - b)
+        return as_point(A.T @ (A @ np.asarray(x).reshape(n) - b), n)
 
     def dist(x):
-        return float(np.linalg.norm(V_row @ (x - x_hat)))
+        return float(np.linalg.norm(V_row @ (np.asarray(x).reshape(n) - x_hat)))
 
     def prox(h, y):
-        return np.linalg.solve(np.eye(n) + h * AtA, y + h * Atb)
+        y = np.asarray(y).reshape(n)
+        return as_point(np.linalg.solve(np.eye(n) + h * AtA, y + h * Atb), n)
 
     return ObjectiveSpec(
         name=f"lsq:m={m},n={n}",
@@ -345,7 +366,6 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
         minimizer_hint=x_hat,
         distance_to_minset=dist,
         nominal_gamma=2.0,
-        nominal_r=2.0,
         prox=prox,
     )
 
@@ -357,22 +377,16 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
 def sample_ball(
     x_star: Point, radius: float, n_samples: int, seed: int, dim: int
 ) -> list:
-    """Uniform samples in the open ball B(x_star, radius), deterministic in seed."""
+    """Uniform samples in the open ball B(x_star, radius), deterministic in
+    seed, in point form."""
     rng = np.random.default_rng(seed)
+    c = as_point(x_star, dim)
     if dim == 1:
-        c = float(np.asarray(x_star).reshape(()))
         return [c + radius * (2.0 * float(u) - 1.0) for u in rng.random(n_samples)]
-    c = np.asarray(x_star, dtype=float)
     g = rng.standard_normal((n_samples, dim))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     r = radius * rng.random(n_samples) ** (1.0 / dim)
     return [c + r[i] * g[i] for i in range(n_samples)]
-
-
-def _inner(u: Point, v: Point) -> float:
-    if isinstance(u, float) or np.isscalar(u):
-        return float(u) * float(v)
-    return float(np.dot(u, v))
 
 
 def _check_finite(caller: str, x_star: Point, **numbers: float) -> None:
@@ -428,8 +442,10 @@ def probe_h1(
 
     The margin of a sample is rhs - lhs; the verdict is "holds" when every
     margin clears -TOL_PROBE relative to max(1, |F(x) - F*|); a nan margin
-    violates.  gamma, x_star and radius must be finite.
+    violates.  gamma, x_star and radius must be finite; x_star is any form
+    as_point accepts.
     """
+    x_star = as_point(x_star, obj.dim)
     _check_finite("probe_h1", x_star, gamma=gamma, radius=radius)
     if gamma <= 0.0 or radius <= 0.0 or n_samples < 1:
         raise ValueError("probe_h1 requires gamma > 0, radius > 0 and n_samples >= 1")
@@ -437,8 +453,7 @@ def probe_h1(
     margins, gaps = [], []
     for x in samples:
         gap = obj.value(x) - obj.f_star
-        dx = x - x_star if obj.dim > 1 else float(x) - float(x_star)
-        rhs = _inner(obj.gradient(x), dx) / gamma
+        rhs = float(np.dot(obj.gradient(x), x - x_star)) / gamma
         margins.append(rhs - gap)
         gaps.append(gap)
     return _probe("H1", gamma, None, margins, gaps, samples, radius)
@@ -455,6 +470,7 @@ def probe_h2(
 ) -> GeometryProbeReport:
     """Sample the growth inequality K * d(x, X*)**r <= F(x) - F*; r, K,
     x_star and radius must be finite."""
+    x_star = as_point(x_star, obj.dim)
     _check_finite("probe_h2", x_star, r=r, K=K, radius=radius)
     if radius <= 0.0 or n_samples < 1 or K <= 0.0:
         raise ValueError("probe_h2 requires radius > 0, n_samples >= 1, K > 0")
@@ -480,11 +496,11 @@ def flatness_constant(
     The bound exists for any objective satisfying the flatness hypothesis at
     this gamma; the reported constant is the sampled maximum, not certified.
     """
+    x_star = as_point(x_star, obj.dim)
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
     M = 0.0
     for x in samples:
-        dx = x - x_star if obj.dim > 1 else float(x) - float(x_star)
-        d = abs(dx) if obj.dim == 1 else float(np.linalg.norm(dx))
+        d = float(_norm(x - x_star))
         if d == 0.0:
             continue
         M = max(M, (obj.value(x) - obj.f_star) / d ** gamma)
@@ -544,15 +560,12 @@ def check_gradient(obj: ObjectiveSpec, x: Point, delta: float = 1e-6) -> float:
     """
     if delta <= 0.0:
         raise ValueError("check_gradient requires delta > 0")
-    g = obj.gradient(x)
-    if obj.dim == 1:
-        fd = (obj.value(x + delta) - obj.value(x - delta)) / (2.0 * delta)
-        return abs(fd - g) / max(1.0, abs(g))
-    x = np.asarray(x, dtype=float)
-    fd = np.empty_like(x)
-    for i in range(obj.dim):
-        e = np.zeros_like(x)
-        e[i] = delta
-        fd[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * delta)
+    x = as_point(x, obj.dim)
+    g = np.atleast_1d(obj.gradient(x))
+    x = np.atleast_1d(x)
+    fd = np.empty(obj.dim)
+    for i, e in enumerate(delta * np.eye(obj.dim)):
+        fd[i] = (obj.value(as_point(x + e, obj.dim))
+                 - obj.value(as_point(x - e, obj.dim))) / (2.0 * delta)
     scale = max(1.0, float(np.max(np.abs(g))))
     return float(np.max(np.abs(fd - g))) / scale

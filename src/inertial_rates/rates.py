@@ -201,7 +201,6 @@ class RateVerdict:
     z_tail_ratio: float       # tail max / global max (z is normalized to max 1)
     boundedness: bool
     nonvanishing: bool
-    tail_window: Tuple[float, float]
     upper_bound_proven: bool
     lower_bound_proven: bool
 
@@ -249,7 +248,6 @@ def verify_rate(
         z_tail_ratio=ratio,
         boundedness=ratio <= BOUNDEDNESS_SLACK,
         nonvanishing=ratio >= NONVANISH_THRESHOLD,
-        tail_window=(t_mid, float(t[-1])),
         upper_bound_proven=regime.upper_bound_proven,
         lower_bound_proven=regime.lower_bound_proven,
     )

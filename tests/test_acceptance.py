@@ -258,7 +258,7 @@ def _rk4_damping_error(alpha, t0, v0, dt):
     obj = ObjectiveSpec(
         name="zero", dim=1, value=lambda x: 0.0, gradient=lambda x: 0.0,
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=lambda x: 0.0,
-        nominal_gamma=1.0, nominal_r=1.0,
+        nominal_gamma=1.0,
     )
     traj = run_ode(obj, alpha, dt, t0, int(round(t0 / dt)), x0=0.0, v0=v0, stride=1)
     T = 2.0 * t0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def _zero_objective():
     return ObjectiveSpec(
         name="zero", dim=1, value=lambda x: 0.0, gradient=lambda x: 0.0,
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=lambda x: 0.0,
-        nominal_gamma=1.0, nominal_r=1.0, prox=lambda h, y: y,
+        nominal_gamma=1.0, prox=lambda h, y: y,
     )
 
 
@@ -224,7 +225,7 @@ def test_nonfinite_gradient_aborts_with_marker():
     bad = ObjectiveSpec(
         name="bad", dim=1, value=lambda x: 0.0, gradient=lambda x: math.nan,
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=abs,
-        nominal_gamma=2.0, nominal_r=2.0,
+        nominal_gamma=2.0,
     )
     traj = run_scheme(bad, alpha=3.0, h=0.1, steps=100, x0=1.0, stride=10)
     assert traj.error is not None and "non-finite" in traj.error
@@ -389,7 +390,7 @@ def test_zeros_of_opposite_sign_are_not_at_rest(dim):
     obj = ObjectiveSpec(
         name="signed-soft-threshold", dim=dim, value=lambda x: float(np.sum(np.abs(x))),
         gradient=np.sign, f_star=0.0, minimizer_hint=0.0, distance_to_minset=abs,
-        nominal_gamma=1.0, nominal_r=1.0, prox=prox,
+        nominal_gamma=1.0, prox=prox,
     )
     # x_0 = h/2 > 0, x_1 = +0.0, x_2 = -0.0 (from y_1 = -h/2 * m), x_3 = -0.0, x_4 = +0.0
     x0 = 0.05 if dim == 1 else np.full(dim, 0.05)
@@ -438,6 +439,17 @@ def test_diverging_rk4_reports_step_in_every_dimension(dim):
     assert traj.error == "non-finite state at step 4"
     assert list(traj.n) == [0, 3]
     assert np.all(np.isfinite(traj.x)) and np.all(np.isfinite(traj.v))
+
+
+@pytest.mark.parametrize("ode", [False, True])
+def test_diverging_nd_run_reports_by_its_marker_alone(ode):
+    """A 3-D run that leaves the floats emits no numpy RuntimeWarning."""
+    obj, x0 = make_power(4.0, 3), [5.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = (run_ode(obj, alpha=3.0, dt=10.0, t0=1.0, steps=100, x0=x0, stride=7) if ode
+                else run_scheme(obj, alpha=3.0, h=10.0, steps=100, x0=x0, stride=7))
+    assert traj.error.startswith("non-finite state at step")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -577,7 +589,7 @@ def _cliff_objective(dim, c, beyond):
         name="cliff", dim=dim, value=lambda x: -float(np.sum(u * x)),
         gradient=lambda y: -u if norm(y) < c else beyond(y),
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=norm,
-        nominal_gamma=1.0, nominal_r=1.0,
+        nominal_gamma=1.0,
         prox=lambda h, y: y + h * u if norm(y) < c else beyond(y),
     )
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertial_rates import dynamics, gridrun, io, lyapunov, rates
+from inertial_rates import dynamics, gridrun, io, lyapunov, objectives, rates
 from inertial_rates.cli import main
 from inertial_rates.config import config_from_dict, parse_config
 from inertial_rates.gridrun import run_cell, run_grid, worker_count
@@ -113,6 +113,17 @@ def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     assert (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["nesterov", "prox-nesterov", "ode-rk4"])
+def test_run_cell_runs_an_lsq_file_with_one_unknown(tmp_path, mode):
+    path = tmp_path / "one.csv"
+    path.write_text("2,4\n1,1.5\n")
+    cfg = config_from_dict({"objective": f"lsq:file={path}", "alpha": 3.0, "mode": mode,
+                            "h": 1e-3, "dt": 1e-3, "t0": 0.5, "steps": 20_000, "stride": 10})
+    res = run_cell(cfg, str(tmp_path / "cell"))
+    assert res.error is None and res.verdict is not None
+    assert (tmp_path / "cell" / "energy.csv").exists()
+
+
 @pytest.mark.parametrize("run, branch, family", [
     (SMALL_RUN, "sharp-subcritical", "sharp"),
     (dict(SMALL_RUN, objective="power:gamma=4,dim=1", alpha=2.5), "flat-intermediate",
@@ -130,7 +141,7 @@ def test_run_cell_energy_uses_the_family_of_the_rate_branch(tmp_path, run, branc
     gamma = obj.nominal_gamma
     table = lyapunov.energy_along(
         traj, lyapunov.select_params(cfg.alpha, gamma, family),
-        x_star=gridrun.energy_reference_point(obj, cfg.x0),
+        x_star=objectives.reference_point(obj, cfg.x0),
         rate=rates.theoretical_rate(cfg.alpha, gamma).exponent,
     )
     io.write_energy_csv(table, str(tmp_path / "energy.csv"))
@@ -425,7 +436,7 @@ def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, monkeypatch, run,
     rate = regime.exponent
     family = "flat" if regime.branch == rates.BRANCH_SATURATED else "sharp"
     params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma, family)
-    x_star = gridrun.energy_reference_point(obj, cfg.x0)
+    x_star = objectives.reference_point(obj, cfg.x0)
     io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
     io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star, rate=rate),
                         str(tmp_path / "energy.csv"))
@@ -481,6 +492,19 @@ def test_cli_probe_exit_codes(capsys):
     assert main(["probe", "--objective", "power:gamma=2,dim=1", "--h1", "3"]) == 1
     out = capsys.readouterr().out
     assert "violated" in out
+
+
+def test_cli_probe_on_an_lsq_file_with_one_unknown(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("2,4\n1,1.5\n")
+    assert main(["probe", "--objective", f"lsq:file={path}", "--h1", "2", "--h2", "2",
+                 "--K", "0.1"]) == 0
+
+
+def test_cli_probe_rejects_a_centre_of_the_wrong_dimension(capsys):
+    assert main(["probe", "--objective", "power:gamma=3,dim=1", "--h1", "3",
+                 "--x-star", "0.1,5"]) == 2
+    assert "dimension 1" in capsys.readouterr().err
 
 
 def test_cli_probe_needs_a_hypothesis():

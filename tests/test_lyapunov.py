@@ -20,7 +20,7 @@ def _zero_objective():
     return ObjectiveSpec(
         name="zero", dim=1, value=lambda x: 0.0, gradient=lambda x: 0.0,
         f_star=0.0, minimizer_hint=0.0, distance_to_minset=lambda x: 0.0,
-        nominal_gamma=1.0, nominal_r=1.0,
+        nominal_gamma=1.0,
     )
 
 
@@ -57,6 +57,15 @@ def test_flat_regime_rejects_gamma_at_most_two():
 def test_default_regime_follows_gamma():
     assert select_params(3.0, 1.5).regime == "sharp"
     assert select_params(6.0, 3.0).regime == "flat"
+
+
+@pytest.mark.parametrize("alpha, gamma, family", [
+    (1.0, 3.0, "sharp"),   # sharp-subcritical branch
+    (2.5, 4.0, "sharp"),   # flat-intermediate: the flat rate 4 exceeds the cell's 10/3
+    (8.0, 3.0, "flat"),    # flat-saturated
+])
+def test_default_regime_follows_the_rate_branch(alpha, gamma, family):
+    assert select_params(alpha, gamma).regime == family
 
 
 def test_manual_params_enforce_xi():

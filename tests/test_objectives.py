@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from inertial_rates.objectives import (
     ObjectiveSpec,
+    as_point,
     check_gradient,
     flatness_constant,
     gamma_from_lipschitz,
@@ -17,6 +18,7 @@ from inertial_rates.objectives import (
     probe_h1,
     probe_h2,
     prox_power,
+    reference_point,
     sample_ball,
 )
 from inertial_rates.config import MAX_PROX_STEP
@@ -97,7 +99,15 @@ def test_least_squares_rank_deficient():
 
 def test_least_squares_scalar_gradient():
     obj = make_least_squares(np.array([[2.0]]), np.array([4.0]))
-    assert obj.gradient(np.array([1.0]))[0] == pytest.approx(-4.0)
+    assert obj.gradient(1.0) == pytest.approx(-4.0)
+
+
+def test_least_squares_with_one_unknown_takes_and_returns_floats():
+    obj = make_least_squares(np.array([[2.0], [1.0]]), np.array([4.0, 1.5]))
+    assert type(obj.gradient(1.0)) is float and type(obj.prox(0.1, 1.0)) is float
+    x_hat = reference_point(obj)
+    assert type(x_hat) is float and obj.gradient(x_hat) == pytest.approx(0.0, abs=1e-12)
+    assert check_gradient(obj, 0.3) < 1e-6
 
 
 def test_least_squares_rejects_zero_operator():
@@ -347,8 +357,54 @@ def test_prox_newton_passes_non_finite_points_through(y):
 
 
 # ---------------------------------------------------------------------------
+# point form and reference point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coords", [0.25, [0.25], np.array([0.25]), (0.25,)])
+def test_as_point_at_dim_1_is_a_float(coords):
+    p = as_point(coords, 1)
+    assert type(p) is float and p == 0.25
+
+
+def test_as_point_above_dim_1_is_a_float_array():
+    p = as_point([1, 2, 3], 3)
+    assert p.shape == (3,) and p.dtype == float
+    assert p.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("coords, dim", [([0.1, 5.0], 1), (0.5, 3), ([1.0, 2.0], 3), ([], 1)])
+def test_as_point_rejects_a_wrong_count_naming_the_dimension(coords, dim):
+    with pytest.raises(ValueError, match=f"dimension {dim}"):
+        as_point(coords, dim)
+
+
+@pytest.mark.parametrize("x0, end", [(-0.3, -1.5), ([-2.0], -1.5), (0.0, 1.5), ([0.7], 1.5),
+                                     (None, 1.5)])
+def test_reference_point_of_a_plateau_is_the_end_on_the_side_of_x0(x0, end):
+    p = reference_point(make_plateau(2.0, 1.5), x0)
+    assert type(p) is float and p == end
+
+
+def test_reference_point_of_a_point_minimizer_is_that_point():
+    p = reference_point(make_power(3.0), [0.4])
+    assert type(p) is float and p == 0.0
+    A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    lsq = make_least_squares(A, np.array([1.0, 4.0, 2.5]))
+    p = reference_point(lsq, [0.3, -0.7])
+    assert isinstance(p, np.ndarray) and np.array_equal(p, lsq.minimizer_hint)
+
+
+# ---------------------------------------------------------------------------
 # geometry probes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("obj", [make_power(3.0), make_plateau(2.0, 0.5)])
+def test_probes_give_one_report_for_every_form_of_a_1d_centre(obj):
+    c = 0.3
+    for probe, args in ((probe_h1, (2.5,)), (probe_h1, (3.5,)), (probe_h2, (2.0, 1.0))):
+        reports = [probe(obj, *args, x, 1.0, 100, seed=5) for x in (c, [c], np.array([c]))]
+        assert reports[0] == reports[1] == reports[2]
+
 
 def test_probe_h1_quadratic_equality():
     obj = make_power(2.0)
