@@ -218,9 +218,20 @@ class GridSpec:
         return f"alpha={alpha:g}_gamma={gamma:g}"
 
     def cells(self):
-        """Expand to (label, ExperimentConfig) pairs; validates every cell."""
-        out = []
+        """Expand to (label, ExperimentConfig) pairs; validates every cell.
+
+        Each label names its cell's output directory, so two pairs with one
+        label (a repeated pair, or values equal to %g's six digits) are
+        rejected."""
+        out, seen = [], {}
         for alpha, gamma in self.pairs:
+            label = self.cell_label(alpha, gamma)
+            if label in seen:
+                raise ConfigError(
+                    f"grid cells {list(seen[label])} and {[alpha, gamma]} share "
+                    f"the label {label!r}"
+                )
+            seen[label] = (alpha, gamma)
             raw = dict(self.base)
             raw["alpha"] = alpha
             raw["objective"] = self.objective_template.replace("{gamma}", f"{gamma:g}")
@@ -229,7 +240,7 @@ class GridSpec:
                 raise ConfigError(
                     f"cell gamma {gamma:g} does not match objective {raw['objective']!r}"
                 )
-            out.append((self.cell_label(alpha, gamma), cfg))
+            out.append((label, cfg))
         return out
 
 

@@ -35,65 +35,42 @@ class CellResult:
         return {"label": self.label, "error": self.error, **(self.verdict or {})}
 
 
-def default_fit_window(
-    traj: dynamics.Trajectory, gamma: float
-) -> Optional[Tuple[float, float]]:
-    """Absolute fit window for scheme runs of sharp objectives.
-
-    For gamma <= 2 the sqrt(h)-scale viscosity of the scheme steepens the
-    measured decay past t ~ 0.05/sqrt(h); exponent fits are restricted to
-    the decade before that cap.  Flat objectives and integrator runs use the
-    relative default (last half of the log-time span).
-    """
-    if not traj.is_scheme or gamma > 2.0:
-        return None
-    cap = rates.scheme_fit_cap(traj.step)
-    t_pos = traj.t[traj.t > 0.0]
-    if len(t_pos) == 0 or cap >= float(t_pos[-1]):
-        return None
-    return (cap / 10.0, cap)
-
-
 def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "cell") -> CellResult:
     """Run one experiment and write trajectory/energy/z/verdict files.
 
-    energy.csv and z.csv use the exponent of the (alpha, gamma) rate regime,
-    the one verdict.json tests; the energy uses select_params' default
-    Lyapunov family for that regime, centred on reference_point(obj, x0)."""
+    The verdict starts not assessed.  A run with more than one record also
+    gets energy.csv and z.csv, at the exponent of the (alpha, gamma) rate
+    regime, and its verify_rate verdict, or the regime and a verdict_error
+    when the records cannot support one; the energy uses select_params'
+    default Lyapunov family for that regime, centred on
+    reference_point(obj, x0)."""
     out = outdir if outdir is not None else cfg.outdir
     try:
         obj = cfg.build_objective()
         traj = dynamics.run(cfg, obj)
         t_text = io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
         gamma = obj.nominal_gamma
-        if len(traj) == 1:
-            # diverged at its first step: no record with t > 0 to assess
-            vdict = io.verdict_to_dict(None, cfg.objective, cfg.alpha, gamma)
-            vdict["trajectory_error"] = traj.error
-            io.write_json(vdict, os.path.join(out, "verdict.json"))
-            return CellResult(label, cfg, vdict, None, error=traj.error)
-        regime = rates.theoretical_rate(cfg.alpha, gamma)
-        params = lyapunov.select_params(cfg.alpha, gamma)
-        x_star = reference_point(obj, cfg.x0)
-        table = lyapunov.energy_along(traj, params, x_star=x_star, rate=regime.exponent)
-        io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
-        zs = rates.z_sequence(traj, regime.exponent)
-        io.write_z_csv(zs, os.path.join(out, "z.csv"), t_text=t_text)
-        try:
-            verdict = rates.verify_rate(
-                traj, regime, fit_t_window=default_fit_window(traj, gamma)
-            )
-            vdict = io.verdict_to_dict(verdict, cfg.objective, cfg.alpha, gamma)
-        except ValueError as exc:
-            # simulation succeeded but cannot support a rate verdict
-            # (degenerate gaps or a horizon too short for the tail tests)
-            vdict = io.verdict_to_dict(None, cfg.objective, cfg.alpha, gamma)
-            vdict.update(branch=regime.branch, theoretical=regime.exponent,
-                         verdict_error=str(exc))
+        verdict, notes, z = None, {}, None
+        if len(traj) > 1:  # else it diverged at its first step: no record with t > 0
+            regime = rates.theoretical_rate(cfg.alpha, gamma)
+            params = lyapunov.select_params(cfg.alpha, gamma)
+            table = lyapunov.energy_along(traj, params, x_star=reference_point(obj, cfg.x0))
+            io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
+            zs = rates.z_sequence(traj, regime.exponent)
+            io.write_z_csv(zs, os.path.join(out, "z.csv"), t_text=t_text)
+            z = (zs.t, zs.z)
+            try:
+                verdict = rates.verify_rate(traj, regime)
+            except ValueError as exc:
+                # simulation succeeded but cannot support a rate verdict
+                # (degenerate gaps or a horizon too short for the tail tests)
+                notes = dict(branch=regime.branch, theoretical=regime.exponent,
+                             verdict_error=str(exc))
         if traj.error:
-            vdict["trajectory_error"] = traj.error
+            notes["trajectory_error"] = traj.error
+        vdict = {**io.verdict_to_dict(verdict, cfg.objective, cfg.alpha, gamma), **notes}
         io.write_json(vdict, os.path.join(out, "verdict.json"))
-        return CellResult(label, cfg, vdict, (zs.t, zs.z), error=traj.error)
+        return CellResult(label, cfg, vdict, z, error=traj.error)
     except Exception as exc:  # isolate the cell; the grid must survive
         return CellResult(label, cfg, None, None, error=f"{type(exc).__name__}: {exc}")
 

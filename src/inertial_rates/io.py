@@ -115,8 +115,8 @@ def write_energy_csv(table: EnergyTable, path: str, t_text: Optional[ColumnText]
     """Write energy.csv; its t column reuses ``t_text`` when it is a suffix of it."""
     t, offset = _suffix_of(t_text, table.t)
     _write_columns(
-        path, "t,a,b,c,E,H,z".split(","),
-        [t, table.a, table.b, table.c, table.E, table.H, table.z], offset,
+        path, "t,a,b,c,E,H".split(","),
+        [t, table.a, table.b, table.c, table.E, table.H], offset,
     )
 
 

@@ -39,11 +39,6 @@ class LyapunovParams:
     K1: float
     regime: str
 
-    @property
-    def rate(self) -> float:
-        """Decay exponent certified by this parameter choice (p + 2)."""
-        return self.p + 2.0
-
 
 def sharp_K1(alpha: float, gamma: float) -> float:
     """Closed form of the c-coefficient constant under sharp parameters."""
@@ -103,26 +98,18 @@ class EnergyTable:
     c: np.ndarray
     E: np.ndarray
     H: np.ndarray
-    z: np.ndarray
     params: LyapunovParams
-    rate: float
 
     def __len__(self) -> int:
         return len(self.t)
 
 
-def energy_along(
-    traj: Trajectory,
-    params: LyapunovParams,
-    x_star=None,
-    rate: Optional[float] = None,
-) -> EnergyTable:
-    """Evaluate a, b, c, E, H, z at every record with t > 0.
+def energy_along(traj: Trajectory, params: LyapunovParams, x_star=None) -> EnergyTable:
+    """Evaluate a, b, c, E, H at every record with t > 0.
 
-    ``rate`` defaults to the exponent certified by the parameters (p + 2);
-    z = gap * t**rate.  Gaps are clamped at 0 so a stays nonnegative under
-    rounding.  A record whose state overflowed has inf terms, and E and H are
-    nan there when xi < 0 (inf - inf has no sign); numpy warns for neither.
+    Gaps are clamped at 0 so a stays nonnegative under rounding.  A record
+    whose state overflowed has inf terms, and E and H are nan there when
+    xi < 0 (inf - inf has no sign); numpy warns for neither.
     """
     keep = traj.t > 0.0
     t = traj.t[keep]
@@ -137,15 +124,13 @@ def energy_along(
         xs = np.asarray(x_star, dtype=float).reshape(traj.dim)
     d = x - xs
     lam, xi, p = params.lam, params.xi, params.p
-    r = params.rate if rate is None else rate
     with np.errstate(over="ignore", invalid="ignore"):
         a = t * gap
         b = np.sum((lam * d + t[:, None] * v) ** 2, axis=1) / (2.0 * t)
         c = np.sum(d * d, axis=1) / (2.0 * t)
         E = t * (a + b + xi * c)
         H = np.power(t, p) * E
-        z = gap * np.power(t, r)
-    return EnergyTable(t=t, a=a, b=b, c=c, E=E, H=H, z=z, params=params, rate=r)
+    return EnergyTable(t=t, a=a, b=b, c=c, E=E, H=H, params=params)
 
 
 @dataclass(frozen=True)
@@ -184,12 +169,7 @@ def check_H_monotone(
     )
 
 
-def check_Hprime_closed_form(
-    traj: Trajectory,
-    params: LyapunovParams,
-    gamma: float,
-    x_star=None,
-) -> float:
+def check_Hprime_closed_form(traj: Trajectory, params: LyapunovParams, x_star=None) -> float:
     """Max residual of dH/dt against K1 * t**p * c(t) for a power objective.
 
     dH/dt comes from a three-point finite difference across consecutive

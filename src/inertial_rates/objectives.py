@@ -400,6 +400,15 @@ def _check_finite(caller: str, x_star: Point, **numbers: float) -> None:
         raise ValueError(f"{caller} requires a finite x_star, got {x_star}")
 
 
+def _check_range(
+    caller: str, x_star: Point, gamma: float, radius: float, n_samples: int
+) -> None:
+    """The argument checks of the flatness probes (probe_h1, flatness_constant)."""
+    _check_finite(caller, x_star, gamma=gamma, radius=radius)
+    if gamma <= 0.0 or radius <= 0.0 or n_samples < 1:
+        raise ValueError(f"{caller} requires gamma > 0, radius > 0 and n_samples >= 1")
+
+
 def _probe(
     hypothesis: str,
     exponent: float,
@@ -446,9 +455,7 @@ def probe_h1(
     as_point accepts.
     """
     x_star = as_point(x_star, obj.dim)
-    _check_finite("probe_h1", x_star, gamma=gamma, radius=radius)
-    if gamma <= 0.0 or radius <= 0.0 or n_samples < 1:
-        raise ValueError("probe_h1 requires gamma > 0, radius > 0 and n_samples >= 1")
+    _check_range("probe_h1", x_star, gamma, radius, n_samples)
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
     margins, gaps = [], []
     for x in samples:
@@ -495,8 +502,10 @@ def flatness_constant(
 
     The bound exists for any objective satisfying the flatness hypothesis at
     this gamma; the reported constant is the sampled maximum, not certified.
+    Its arguments are checked as probe_h1 checks them.
     """
     x_star = as_point(x_star, obj.dim)
+    _check_range("flatness_constant", x_star, gamma, radius, n_samples)
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
     M = 0.0
     for x in samples:

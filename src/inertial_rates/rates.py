@@ -213,14 +213,29 @@ class RateVerdict:
         return self.boundedness and self.nonvanishing
 
 
-def verify_rate(
-    traj: Trajectory,
-    regime: RateRegime,
-    fit_t_window: Optional[Tuple[float, float]] = None,
-) -> RateVerdict:
-    """Fit the gap envelope (fit_series over ``fit_t_window``) and test the
-    z-sequence at the regime exponent.
+# Fraction of the viscosity time scale 1/sqrt(h) that scheme fits may use.
+SCHEME_FIT_BUDGET = 0.05
 
+
+def scheme_fit_cap(h: float) -> float:
+    """Largest time up to which scheme-run exponent fits are trusted.
+
+    The discrete scheme carries an extra viscosity of order sqrt(h) (for
+    F = x**2 the iterate envelope is exactly t**(-alpha/...) times
+    exp(-sqrt(h) t)), which steepens measured slopes past
+    t ~ SCHEME_FIT_BUDGET/sqrt(h).
+    """
+    return SCHEME_FIT_BUDGET / math.sqrt(h)
+
+
+def verify_rate(traj: Trajectory, regime: RateRegime) -> RateVerdict:
+    """Fit the gap envelope (fit_series) and test the z-sequence at the
+    regime exponent.
+
+    The fit window is the decade below scheme_fit_cap(h) for a scheme run of
+    a sharp objective (gamma <= 2) whose records reach the cap, where the
+    scheme's viscosity would otherwise steepen the slope; flat objectives,
+    integrator runs and shorter runs use fit_series' relative default.
     The z statistics use the last half of the log-time span (asymptotic
     claims; transients excluded), which must span at least one decade.
     Non-vanishing: tail max >= NONVANISH_THRESHOLD * global max.
@@ -238,7 +253,12 @@ def verify_rate(
         raise ValueError("verify_rate: tail half spans less than one decade")
     tail = zs.z[t >= t_mid]
     ratio = float(tail.max()) if len(tail) else 0.0
-    fit = fit_series(traj.t, traj.gap, fit_t_window)
+    window = None
+    if traj.is_scheme and regime.gamma <= 2.0:
+        cap = scheme_fit_cap(traj.step)
+        if cap < t[-1]:
+            window = (cap / 10.0, cap)
+    fit = fit_series(traj.t, traj.gap, window)
     return RateVerdict(
         branch=regime.branch,
         theoretical=regime.exponent,
@@ -251,13 +271,3 @@ def verify_rate(
         upper_bound_proven=regime.upper_bound_proven,
         lower_bound_proven=regime.lower_bound_proven,
     )
-
-
-def scheme_fit_cap(h: float, budget: float = 0.05) -> float:
-    """Largest time up to which scheme-run exponent fits are trusted.
-
-    The discrete scheme carries an extra viscosity of order sqrt(h) (for
-    F = x**2 the iterate envelope is exactly t**(-alpha/...) times
-    exp(-sqrt(h) t)), which steepens measured slopes past t ~ budget/sqrt(h).
-    """
-    return budget / math.sqrt(h)

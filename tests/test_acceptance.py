@@ -80,7 +80,7 @@ def test_criterion_1_fig5_left_optimal_sharp_rate(fig5_left):
     traj, elapsed = fig5_left
     regime = theoretical_rate(1.0, 1.5)
     assert regime.exponent == pytest.approx(6.0 / 7.0)
-    verdict = verify_rate(traj, regime, fit_t_window=SHARP_WINDOW)
+    verdict = verify_rate(traj, regime)
     ok = (
         abs(verdict.fitted - 6.0 / 7.0) <= 0.1
         and verdict.boundedness
@@ -103,7 +103,7 @@ def test_criterion_2_fig6_right_quadratic_rate_not_exponential(fig6_right):
     """power gamma=2, alpha=6: rate 6, and the decay is polynomial."""
     traj = fig6_right
     regime = theoretical_rate(6.0, 2.0)
-    verdict = verify_rate(traj, regime, fit_t_window=SHARP_WINDOW)
+    verdict = verify_rate(traj, regime)
     r_loglog, r_loglin = tail_model_residuals(traj, t_window=SHARP_WINDOW)
     ok = (
         abs(verdict.fitted - 6.0) <= 0.3
@@ -195,7 +195,7 @@ def test_criterion_5_hprime_closed_form_identity():
             traj = run_ode(make_power(gamma), alpha=alpha, dt=1e-4, t0=1.0,
                            steps=90_000, x0=0.5, stride=50)
             params = select_params(alpha, gamma, "sharp")
-            resid = check_Hprime_closed_form(traj, params, gamma)
+            resid = check_Hprime_closed_form(traj, params)
             worst = max(worst, resid)
             details.append(f"(g={gamma:g},a={alpha:g})={resid:.1e}")
     ok = worst <= 5e-4

@@ -252,6 +252,40 @@ def test_grid_cell_gamma_must_match_objective():
         }))
 
 
+_COLLIDING_PAIRS = [
+    ([[3.0000001, 2], [3.0000002, 2], [3, 2]], "[3.0000001, 2.0] and [3.0000002, 2.0]"),
+    ([[6, 2], [1, 1.5], [6, 2]], "[6.0, 2.0] and [6.0, 2.0]"),
+]
+
+
+@pytest.mark.parametrize("pairs, named", _COLLIDING_PAIRS, ids=["near-equal", "repeated"])
+def test_grid_cells_with_one_label_rejected(pairs, named):
+    """A label names its cell's output directory: two cells with one label
+    would write the same files and show as duplicate summary rows."""
+    doc = json.dumps({"grid": {"pairs": pairs}, "run": {"steps": 10}})
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    label = "alpha=3_gamma=2" if "3.0000001" in named else "alpha=6_gamma=2"
+    assert named in str(info.value) and repr(label) in str(info.value)
+
+
+@pytest.mark.parametrize("pairs, named", _COLLIDING_PAIRS, ids=["near-equal", "repeated"])
+def test_cli_grid_with_colliding_labels_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, pairs, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"grid": {"pairs": pairs, "parallelism": 2}, "run": {"steps": 10, "h": 1e-4}}))
+    assert main(["grid", "--config", "grid.json", "--outdir", "g"]) == 2
+    assert named in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]
+
+
+def test_grid_labels_keep_their_six_digit_form():
+    grid = parse_config(json.dumps({"grid": {"pairs": [[3.0000001, 2], [2.5, 1.5]]},
+                                    "run": {"steps": 10}}))
+    assert [label for label, _ in grid.cells()] == ["alpha=3_gamma=2", "alpha=2.5_gamma=1.5"]
+
+
 def test_config_not_json_or_not_object():
     with pytest.raises(ConfigError, match="JSON"):
         parse_config("steps: 10")

@@ -47,7 +47,7 @@ def test_run_cell_writes_all_outputs(tmp_path):
     assert verdict["upper_bound"] == "proven"
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "n,t,x_0,v_0,gap"
-    assert (tmp_path / "energy.csv").read_text().splitlines()[0] == "t,a,b,c,E,H,z"
+    assert (tmp_path / "energy.csv").read_text().splitlines()[0] == "t,a,b,c,E,H"
 
 
 def test_run_cell_byte_identical_reruns(tmp_path):
@@ -131,8 +131,8 @@ def test_run_cell_runs_an_lsq_file_with_one_unknown(tmp_path, mode):
     (dict(SMALL_RUN, objective="power:gamma=3,dim=1", alpha=8.0), "flat-saturated", "flat"),
 ])
 def test_run_cell_energy_uses_the_family_of_the_rate_branch(tmp_path, run, branch, family):
-    """energy.csv is the energy of the regime's Lyapunov family at the regime's
-    exponent, the one verdict.json tests: flat on the saturated branch only."""
+    """energy.csv is the energy of the Lyapunov family of the rate branch
+    verdict.json tests: flat on the saturated branch only."""
     cfg = config_from_dict(run)
     res = run_cell(cfg, str(tmp_path / "cell"))
     assert res.error is None and res.verdict["branch"] == branch
@@ -142,7 +142,6 @@ def test_run_cell_energy_uses_the_family_of_the_rate_branch(tmp_path, run, branc
     table = lyapunov.energy_along(
         traj, lyapunov.select_params(cfg.alpha, gamma, family),
         x_star=objectives.reference_point(obj, cfg.x0),
-        rate=rates.theoretical_rate(cfg.alpha, gamma).exponent,
     )
     io.write_energy_csv(table, str(tmp_path / "energy.csv"))
     assert _read(tmp_path / "energy.csv") == _read(tmp_path / "cell" / "energy.csv")
@@ -163,7 +162,7 @@ def test_run_cell_writes_no_nan_z_when_a_gap_overflows(tmp_path, recwarn):
 
 def test_run_cell_energy_of_an_overflowed_record_does_not_warn(tmp_path, recwarn):
     """The last record of this run overflowed: its energy row has (a, b, c,
-    E, H, z) = (inf, inf, inf, nan, nan, inf), since xi < 0 makes E inf - inf.
+    E, H) = (inf, inf, inf, nan, nan), since xi < 0 makes E inf - inf.
     Every earlier row is finite, and lyapunov.py emits no numpy warning."""
     cfg = config_from_dict({"objective": "power:gamma=4,dim=1", "alpha": 3.0,
                             "mode": "nesterov", "h": 0.5, "x0": [3.0], "steps": 100,
@@ -173,7 +172,7 @@ def test_run_cell_energy_of_an_overflowed_record_does_not_warn(tmp_path, recwarn
     rows = (tmp_path / "energy.csv").read_text().splitlines()[1:]
     *finite, last = [[float(v) for v in row.split(",")] for row in rows]
     assert finite and np.all(np.isfinite(finite))
-    assert np.array_equal(last[1:], [math.inf, math.inf, math.inf, math.nan, math.nan, math.inf],
+    assert np.array_equal(last[1:], [math.inf, math.inf, math.inf, math.nan, math.nan],
                           equal_nan=True)
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
                 and w.filename.endswith(os.path.join("inertial_rates", "lyapunov.py"))]
@@ -438,7 +437,7 @@ def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, monkeypatch, run,
     params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma, family)
     x_star = objectives.reference_point(obj, cfg.x0)
     io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
-    io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star, rate=rate),
+    io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star),
                         str(tmp_path / "energy.csv"))
     io.write_z_csv(rates.z_sequence(traj, rate), str(tmp_path / "z.csv"))
     for name in ("trajectory.csv", "energy.csv", "z.csv"):

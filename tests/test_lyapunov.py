@@ -203,7 +203,7 @@ def test_hprime_closed_form_quadratic():
     obj = make_power(2.0)
     traj = run_ode(obj, alpha=5.0, dt=1e-4, t0=1.0, steps=90_000, x0=0.5, stride=25)
     params = select_params(5.0, 2.0)
-    resid = check_Hprime_closed_form(traj, params, 2.0)
+    resid = check_Hprime_closed_form(traj, params)
     assert resid <= 5e-4
 
 
@@ -211,7 +211,7 @@ def test_hprime_rejects_scheme_trajectories():
     obj = make_power(2.0)
     traj = run_scheme(obj, alpha=5.0, h=1e-4, steps=1000, x0=0.5)
     with pytest.raises(ValueError):
-        check_Hprime_closed_form(traj, select_params(5.0, 2.0), 2.0)
+        check_Hprime_closed_form(traj, select_params(5.0, 2.0))
 
 
 def test_hprime_zero_K1_keeps_H_constant():
@@ -227,7 +227,7 @@ def test_hprime_zero_K1_keeps_H_constant():
 
 def test_hprime_resting_trajectory_is_zero():
     traj = _synthetic_traj([1.0, 1.1, 1.2, 1.3], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0])
-    resid = check_Hprime_closed_form(traj, select_params(5.0, 2.0), 2.0)
+    resid = check_Hprime_closed_form(traj, select_params(5.0, 2.0))
     assert resid == 0.0
 
 

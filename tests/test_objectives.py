@@ -480,13 +480,26 @@ def test_plateau_growth_at_extremal_point():
     (probe_h2, dict(K=math.nan)),
     (probe_h2, dict(K=math.inf)),
     (probe_h2, dict(x_star=np.array([0.0, math.inf]))),
+    (flatness_constant, dict(radius=math.nan)),
+    (flatness_constant, dict(gamma=math.nan)),
+    (flatness_constant, dict(x_star=math.inf)),
 ])
 def test_probes_reject_non_finite_arguments(probe, args):
     dim = 2 if isinstance(args.get("x_star"), np.ndarray) else 1
     base = dict(obj=make_power(3.0, dim), x_star=0.0 if dim == 1 else np.zeros(2),
                 radius=1.0)
-    base.update(dict(gamma=3.0) if probe is probe_h1 else dict(r=3.0, K=1.0))
+    base.update(dict(r=3.0, K=1.0) if probe is probe_h2 else dict(gamma=3.0))
     with pytest.raises(ValueError, match="finite"):
+        probe(**{**base, **args})
+
+
+@pytest.mark.parametrize("probe", [probe_h1, flatness_constant])
+@pytest.mark.parametrize("args", [dict(n_samples=0), dict(radius=-1.0), dict(gamma=0.0)])
+def test_flatness_probes_reject_out_of_range_arguments(probe, args):
+    """No samples, or a ball of negative radius, would make flatness_constant
+    return a vacuous 0.0 or a bound taken over the wrong ball."""
+    base = dict(obj=make_power(3.0), gamma=3.0, x_star=0.0, radius=1.0)
+    with pytest.raises(ValueError, match="gamma > 0, radius > 0 and n_samples >= 1"):
         probe(**{**base, **args})
 
 

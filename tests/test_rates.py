@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from inertial_rates.dynamics import Trajectory, run_scheme
+from inertial_rates.dynamics import Trajectory, run_ode, run_scheme
 from inertial_rates.objectives import make_power
 from inertial_rates.rates import (
     BRANCH_INTERMEDIATE,
@@ -247,3 +247,37 @@ def test_quadratic_rate_matches_alpha_and_beats_exponential_model():
 
 def test_scheme_fit_cap_value():
     assert scheme_fit_cap(1e-5) == pytest.approx(0.05 / math.sqrt(1e-5))
+
+
+# ---------------------------------------------------------------------------
+# the fit window verify_rate picks
+# ---------------------------------------------------------------------------
+
+H_WINDOW = 1e-4     # scheme_fit_cap(1e-4) = 5
+
+
+def test_verify_rate_fits_the_decade_below_the_cap_on_a_sharp_scheme_run():
+    traj = run_scheme(make_power(1.5), alpha=1.0, h=H_WINDOW, steps=100_000, x0=0.5,
+                      stride=10, use_prox=True)
+    cap = scheme_fit_cap(H_WINDOW)
+    assert traj.t[-1] > cap
+    capped = fit_series(traj.t, traj.gap, (cap / 10.0, cap)).exponent
+    assert capped != fit_series(traj.t, traj.gap).exponent
+    assert verify_rate(traj, theoretical_rate(1.0, 1.5)).fitted == capped
+
+
+@pytest.mark.parametrize("run, gamma", [
+    # the integrator has no scheme viscosity (its dt = 1e-2 puts the cap at 0.5)
+    (lambda: run_ode(make_power(2.0), alpha=4.0, dt=1e-2, t0=0.1, steps=20_000, x0=0.6,
+                     stride=9), 2.0),
+    # a flat objective
+    (lambda: run_scheme(make_power(3.0), alpha=3.0, h=H_WINDOW, steps=100_000, x0=0.5,
+                        stride=10), 3.0),
+    # a scheme run that stops before the cap (t = 4)
+    (lambda: run_scheme(make_power(1.5), alpha=1.0, h=H_WINDOW, steps=400, x0=0.5,
+                        stride=1, use_prox=True), 1.5),
+], ids=["rk4", "gamma3-scheme", "short-scheme"])
+def test_verify_rate_uses_the_relative_window_elsewhere(run, gamma):
+    traj = run()
+    verdict = verify_rate(traj, theoretical_rate(traj.alpha, gamma))
+    assert verdict.fitted == fit_series(traj.t, traj.gap).exponent
