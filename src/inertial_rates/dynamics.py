@@ -4,7 +4,10 @@ the damped second-order flow  x'' + (alpha/t) x' + grad F(x) = 0.
 
 Each dynamics has one stepping loop, written once for both point forms
 (objectives.as_point): Python floats in dimension 1, where a step costs a
-small fraction of the array form's, and float arrays otherwise.
+small fraction of the array form's, and float arrays otherwise.  The
+scheme's loop is a template, compiled once per run with its step: a 1-D
+catalog gradient is inlined as its expression, any other step calls the
+objective's gradient or prox.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -25,6 +28,18 @@ MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 # Steps whose extrapolation factors run_scheme computes in one numpy pass; the
 # factor memory of a run is bounded by it, whatever the stride.
 _FACTOR_BLOCK = 4096
+
+# The steps of one record interval of run_scheme.  {step} is package-owned
+# expression text in the extrapolated point y; every number it names (h, and
+# an objective's constants) is a global of the compiled function, so an
+# inlined expression must not use the names bound here.
+_INTERVAL = """\
+def interval(factors, x, xp):
+    for m in factors:
+        y = x + m * (x - xp)
+        xp, x = x, {step}
+    return x, xp
+"""
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,25 @@ def _point_form(dim: int):
         lambda p: bool(np.isfinite(p).all()),
         lambda a, b: a.tobytes() == b.tobytes(),
     )
+
+
+def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
+    """``interval(factors, x, xp) -> (x, xp)``: the steps of run_scheme with
+    extrapolation factors ``factors`` from the state (x, xp).  The gradient
+    step y - h*grad(y) inlines ``obj.gradient_expr`` when ``obj.gradient`` is
+    the function built from it (the same operations, so the same bits), and
+    calls ``obj.gradient`` otherwise; a proximal step calls ``obj.prox``."""
+    names = {"h": h}
+    expr = obj.gradient_expr
+    if use_prox:
+        step, names["prox"] = "prox(h, y)", obj.prox
+    elif expr is not None and expr.function is obj.gradient:
+        step = f"y - h * ({expr.text})"
+        names.update(expr.names)
+    else:
+        step, names["grad"] = "y - h * grad(y)", obj.gradient
+    exec(_INTERVAL.format(step=step), names)
+    return names["interval"]
 
 
 class _Recorder:
@@ -174,7 +208,7 @@ def run_scheme(
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
     finite, same = _point_form(obj.dim)
-    grad, prox = obj.gradient, obj.prox
+    interval = _interval_kernel(obj, h, use_prox)
     x = xp = as_point(x0, obj.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = _Recorder(obj)
@@ -195,9 +229,7 @@ def run_scheme(
             end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
             start = x, xp
             try:
-                for m in factors[k - base:end - base]:
-                    y = x + m * (x - xp)
-                    xp, x = x, prox(h, y) if use_prox else y - h * grad(y)
+                x, xp = interval(factors[k - base:end - base], x, xp)
                 ok = finite(x)
             except OverflowError:
                 ok = False

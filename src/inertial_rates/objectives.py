@@ -4,11 +4,14 @@ sampling probes for the flatness / growth geometry hypotheses.
 Catalog entries are 1-D by default; power objectives extend radially to R^n.
 Points are plain floats in dimension 1 and numpy arrays otherwise (as_point
 is the one definition of that form).  The simulation loops are written once
-for both forms, so dimension 1 runs free of array overhead.  Catalog
-parameters must be finite.
+for both forms, so dimension 1 runs free of array overhead.  The 1-D power
+and plateau gradients are stated as one expression each (GradientExpr), which
+both the public gradient callable and the scheme's stepping loop are built
+from.  Catalog parameters must be finite.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -20,6 +23,29 @@ Point = Union[float, np.ndarray]
 # Relative probe tolerance separating analytic violation from rounding.
 TOL_PROBE = 1e-10
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+@dataclass(frozen=True)
+class GradientExpr:
+    """A 1-D gradient stated as one Python expression in the point ``y``.
+
+    ``names`` holds, as (name, value) pairs, every constant and function the
+    text refers to besides builtins: numbers reach the code through these
+    names only, never as text.  ``function`` is ``lambda y: <text>`` compiled
+    with ``names`` as its globals.  dynamics.run_scheme inlines the text into
+    its stepping loop when an objective's ``gradient`` is this very function,
+    so the callable and the inlined step evaluate the same operations.
+    """
+
+    text: str
+    names: tuple
+    function: Callable[[float], float]
+
+
+def _gradient_expr(text: str, **names) -> GradientExpr:
+    return GradientExpr(text, tuple(names.items()), eval("lambda y: " + text, dict(names)))
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -30,6 +56,8 @@ class ObjectiveSpec:
     ``argmin_x 0.5*|x - y|^2 + h*F(x)`` and may be absent.
     ``minimizer_hint`` is a point, or an ``(lo, hi)`` interval when the
     minimizer set is not a single point; ``reference_point`` picks from it.
+    ``gradient_expr``, when present, is the expression ``gradient`` was
+    built from.
     """
 
     name: str
@@ -41,6 +69,7 @@ class ObjectiveSpec:
     distance_to_minset: Callable[[Point], float]
     nominal_gamma: float
     prox: Optional[Callable[[float, Point], Point]] = None
+    gradient_expr: Optional[GradientExpr] = None
 
 
 @dataclass(frozen=True)
@@ -74,6 +103,9 @@ def as_point(coords, dim: int) -> Point:
     and a ``(dim,)`` float array otherwise.  ``coords`` is a number, or a
     sequence or array of ``dim`` numbers; the array may share its memory.
     Raises ValueError when the coordinate count is not ``dim``."""
+    if dim > 1 and type(coords) is np.ndarray and coords.dtype is _FLOAT64 \
+            and coords.shape == (dim,):
+        return coords  # already in point form
     p = np.asarray(coords, dtype=float).reshape(-1)
     if p.size != dim:
         raise ValueError(f"a point of dimension {dim} takes {dim} coordinate(s), got {p.size}")
@@ -108,28 +140,51 @@ def prox_power(gamma: float, h: float, y: float) -> float:
         raise ValueError(f"prox_power requires gamma >= 1, got {gamma}")
     if h <= 0.0:
         raise ValueError(f"prox_power requires h > 0, got {h}")
-    if y == 0.0:
-        return 0.0
-    ay = abs(y)
+    return _power_prox(gamma)(h, y)
+
+
+@functools.lru_cache(maxsize=64)
+def _power_prox(gamma: float) -> Callable[[float, float], float]:
+    """prox_power(gamma, h, y) as a function of (h, y), for gamma >= 1 and
+    h > 0 unchecked: the dispatch on gamma is done here, once."""
     if gamma == 1.0:
-        return math.copysign(max(ay - h, 0.0), y)
-    if gamma == 2.0:
-        return y / (1.0 + 2.0 * h)
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            return math.copysign(max(abs(y) - h, 0.0), y)
+    elif gamma == 2.0:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            return y / (1.0 + 2.0 * h)
     # The roots below are written halved (ay / (b/2 + sqrt(b*b/4 + ay)) for
     # 2*ay / (b + sqrt(b*b + 4*ay))): the same bits, without overflowing 4*ay.
-    if gamma == 1.5:
-        b = 1.5 * h
-        s = ay / (0.5 * b + math.sqrt(0.25 * b * b + ay))  # cancellation-safe root
-        # the exact prox is at most |y|; s*s can round above it (or overflow)
-        return math.copysign(min(s * s, ay), y)
-    if gamma == 3.0:
-        q = 3.0 * h * ay
-        if q == math.inf:  # u = sqrt(ay/(3h)) to within a relative 1e-154
-            return math.copysign(math.sqrt(ay) / math.sqrt(3.0 * h), y)
-        return math.copysign(ay / (0.5 + math.sqrt(0.25 + q)), y)
-    if not math.isfinite(ay):
-        return y  # no root to find; a run reports the non-finite state
-    return _prox_newton(gamma, h, y)
+    elif gamma == 1.5:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            ay = abs(y)
+            b = 1.5 * h
+            s = ay / (0.5 * b + math.sqrt(0.25 * b * b + ay))  # cancellation-safe root
+            # the exact prox is at most |y|; s*s can round above it (or overflow)
+            return math.copysign(min(s * s, ay), y)
+    elif gamma == 3.0:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            ay = abs(y)
+            q = 3.0 * h * ay
+            if q == math.inf:  # u = sqrt(ay/(3h)) to within a relative 1e-154
+                return math.copysign(math.sqrt(ay) / math.sqrt(3.0 * h), y)
+            return math.copysign(ay / (0.5 + math.sqrt(0.25 + q)), y)
+    else:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            if not math.isfinite(y):
+                return y  # no root to find; a run reports the non-finite state
+            return _prox_newton(gamma, h, y)
+    return prox
 
 
 def _prox_newton(gamma: float, h: float, y: float) -> float:
@@ -216,11 +271,13 @@ def _norm(x):
     return n
 
 
-def _prox_power_radial(gamma: float, h: float, y: np.ndarray) -> np.ndarray:
+def _prox_power_radial(prox1: Callable[[float, float], float], h: float,
+                       y: np.ndarray) -> np.ndarray:
+    """The radial extension of the 1-D prox ``prox1`` at the point y."""
     ny = float(_norm(y))
     if ny == 0.0:
         return np.zeros_like(y)
-    return (prox_power(gamma, h, ny) / ny) * y
+    return (prox1(h, ny) / ny) * y
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +296,25 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
     if dim < 1:
         raise ValueError(f"make_power requires dim >= 1, got {dim}")
     name = f"power:gamma={gamma:g},dim={dim}"
+    prox1 = _power_prox(gamma)
+    expr = None
     if dim == 1:
         if gamma == 2.0:
             value = lambda x: x * x
-            gradient = lambda x: 2.0 * x
+            expr = _gradient_expr("2.0 * y")
         elif gamma == 3.0:
             value = lambda x: abs(x) ** 3
-            gradient = lambda x: 3.0 * x * abs(x)
+            expr = _gradient_expr("3.0 * y * abs(y)")
         elif gamma == 1.0:
             value = abs
-            gradient = lambda x: math.copysign(1.0, x) if x != 0.0 else 0.0
+            expr = _gradient_expr("copysign(1.0, y) if y != 0.0 else 0.0",
+                                  copysign=math.copysign)
         else:
-            g1 = gamma - 1.0
             value = lambda x: abs(x) ** gamma
-            gradient = lambda x: (
-                math.copysign(gamma * abs(x) ** g1, x) if x != 0.0 else 0.0
-            )
-        prox = lambda h, y: prox_power(gamma, h, y)
+            expr = _gradient_expr("copysign(gamma * abs(y) ** g1, y) if y != 0.0 else 0.0",
+                                  copysign=math.copysign, gamma=gamma, g1=gamma - 1.0)
+        gradient = expr.function
+        prox = prox1
         dist = abs
         hint: object = 0.0
     else:
@@ -268,7 +327,7 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
                 return np.zeros_like(x)
             return (_g * n ** (_g - 2.0)) * x
 
-        prox = lambda h, y: _prox_power_radial(gamma, h, y)
+        prox = lambda h, y: _prox_power_radial(prox1, h, y)
         dist = lambda x: float(_norm(x))
         hint = np.zeros(dim)
     return ObjectiveSpec(
@@ -281,6 +340,7 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         distance_to_minset=dist,
         nominal_gamma=gamma,
         prox=prox,
+        gradient_expr=expr,
     )
 
 
@@ -294,30 +354,32 @@ def make_plateau(gamma: float, a: float) -> ObjectiveSpec:
     def value(x):
         return max(abs(x) - a, 0.0) ** gamma
 
-    def gradient(x):
-        e = abs(x) - a
-        if e <= 0.0:
-            return 0.0
-        if gamma == 1.0:
-            return math.copysign(1.0, x)
-        return math.copysign(gamma * e ** (gamma - 1.0), x)
+    if gamma == 1.0:
+        expr = _gradient_expr("0.0 if abs(y) - a <= 0.0 else copysign(1.0, y)",
+                              copysign=math.copysign, a=a)
+    else:
+        expr = _gradient_expr(
+            "0.0 if (e := abs(y) - a) <= 0.0 else copysign(gamma * e ** g1, y)",
+            copysign=math.copysign, a=a, gamma=gamma, g1=gamma - 1.0)
+    prox1 = _power_prox(gamma)
 
     def prox(h, y):
         ay = abs(y)
         if ay <= a:
             return y
-        return math.copysign(a + prox_power(gamma, h, ay - a), y)
+        return math.copysign(a + prox1(h, ay - a), y)
 
     return ObjectiveSpec(
         name=f"plateau:gamma={gamma:g},a={a:g}",
         dim=1,
         value=value,
-        gradient=gradient,
+        gradient=expr.function,
         f_star=0.0,
         minimizer_hint=(-a, a),
         distance_to_minset=lambda x: max(abs(x) - a, 0.0),
         nominal_gamma=gamma,
         prox=prox,
+        gradient_expr=expr,
     )
 
 
@@ -343,18 +405,19 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
     AtA = A.T @ A
     Atb = A.T @ b
 
+    # Points are taken as they come: A @ x needs an array, so a float point
+    # (n == 1) is reshaped there; x - x_hat and y + h*Atb broadcast it.
     def value(x):
-        r = A @ np.asarray(x).reshape(n) - b
+        r = A @ (x if n > 1 else np.reshape(x, 1)) - b
         return 0.5 * float(r @ r)
 
     def gradient(x):
-        return as_point(A.T @ (A @ np.asarray(x).reshape(n) - b), n)
+        return as_point(A.T @ (A @ (x if n > 1 else np.reshape(x, 1)) - b), n)
 
     def dist(x):
-        return float(np.linalg.norm(V_row @ (np.asarray(x).reshape(n) - x_hat)))
+        return float(np.linalg.norm(V_row @ (x - x_hat)))
 
     def prox(h, y):
-        y = np.asarray(y).reshape(n)
         return as_point(np.linalg.solve(np.eye(n) + h * AtA, y + h * Atb), n)
 
     return ObjectiveSpec(

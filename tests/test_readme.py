@@ -1,12 +1,15 @@
-"""The README's library sketch runs and prints what its comments claim, and
-its output column lists match the files."""
+"""The README's library sketch runs and prints what its comments claim, its
+output column lists match the files, and its list of inlined gradients
+matches the catalog."""
 import contextlib
+import fnmatch
 import io
 import re
 from pathlib import Path
 
 from inertial_rates.config import config_from_dict
 from inertial_rates.gridrun import run_cell
+from inertial_rates.objectives import parse_objective
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +44,22 @@ def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
     for name in ("energy.csv", "z.csv"):
         header = (tmp_path / name).read_text().splitlines()[0]
         assert documented[name] == header, name
+
+
+def test_readme_inlined_objectives_are_the_ones_with_an_expression(tmp_path):
+    """The objective patterns listed under "Kernels" match exactly the
+    catalog objectives that carry a gradient expression."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Kernels"):text.index("## Numerical notes")]
+    patterns = re.findall(r"^- `([^`]+)`", section, re.M)
+    assert patterns
+    specs = [f"power:gamma={g},dim={d}" for g in (1, 1.5, 2, 2.5, 3, 4) for d in (1, 2, 3)]
+    specs += [f"plateau:gamma={g},a={a}" for g in (1, 2, 3) for a in (0.5, 1)]
+    for unknowns, rows in ((1, "2.0,4.0\n1.0,1.5\n"), (2, "2.0,1.0,1.0\n0.5,3.0,2.0\n")):
+        path = tmp_path / f"lsq{unknowns}.csv"
+        path.write_text(rows)
+        specs.append(f"lsq:file={path}")
+    for spec in specs:
+        obj = parse_objective(spec)
+        listed = any(fnmatch.fnmatchcase(obj.name, p) for p in patterns)
+        assert listed == (obj.gradient_expr is not None), obj.name
