@@ -12,7 +12,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Tuple, Union
 
-from .dynamics import MODES
+from .dynamics import MODES, _ode_t0
 from .objectives import ObjectiveSpec, parse_objective
 
 # recorded samples per run (steps // stride + 2 at most); each costs memory
@@ -185,10 +185,11 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
     if cfg.mode == "ode-rk4":
         if cfg.dt <= 0.0 or cfg.t0 <= 0.0:
             raise ConfigError("ode-rk4 requires dt > 0 and t0 > 0")
-        horizon = cfg.t0 + cfg.steps * cfg.dt
-        if horizon < 10.0 * cfg.t0:
+        t0 = _ode_t0(cfg.t0, cfg.dt)  # where run_ode starts
+        horizon = t0 + cfg.steps * cfg.dt
+        if horizon < 10.0 * t0:
             raise ConfigError(
-                f"ode-rk4 horizon {horizon:g} is below 10*t0 = {10 * cfg.t0:g}; "
+                f"ode-rk4 horizon {horizon:g} is below 10*max(t0, dt) = {10 * t0:g}; "
                 "rate verdicts need a longer run"
             )
     elif cfg.h <= 0.0:

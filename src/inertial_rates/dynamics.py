@@ -2,12 +2,12 @@
 proximal steps, time map t_n = n*sqrt(h)) and a fixed-step RK4 integrator of
 the damped second-order flow  x'' + (alpha/t) x' + grad F(x) = 0.
 
-Each dynamics has one stepping loop, written once for both point forms
-(objectives.as_point): Python floats in dimension 1, where a step costs a
-small fraction of the array form's, and float arrays otherwise.  The
-scheme's loop is a template, compiled once per run with its step: a 1-D
-catalog gradient is inlined as its expression, any other step calls the
-objective's gradient or prox.
+Both dynamics step through one driver loop (_drive), written once for both
+point forms (objectives.as_point): Python floats in dimension 1, where a step
+costs a small fraction of the array form's, and float arrays otherwise.  Each
+run compiles the steps of one record interval from its dynamics' template: a
+1-D catalog gradient is inlined into the scheme's as its expression, any
+other step calls the objective's gradient or prox.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -25,8 +25,9 @@ from .objectives import ObjectiveSpec, as_point
 
 MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 
-# Steps whose extrapolation factors run_scheme computes in one numpy pass; the
-# factor memory of a run is bounded by it, whatever the stride.
+# Steps whose coefficients (the scheme's extrapolation factors, RK4's step
+# start times) _drive computes in one numpy pass; the coefficient memory of a
+# run is bounded by it, whatever the stride.
 _FACTOR_BLOCK = 4096
 
 # The steps of one record interval of run_scheme.  {step} is package-owned
@@ -39,6 +40,33 @@ def interval(factors, x, xp):
         y = x + m * (x - xp)
         xp, x = x, {step}
     return x, xp
+"""
+
+# The steps of one record interval of run_ode: classical RK4 on x' = v,
+# v' = -(alpha/t) v - grad(x), from the step start times ``times``.
+_RK4_INTERVAL = """\
+def interval(times, x, v):
+    for t in times:
+        a1x = v
+        a1v = -(alpha / t) * v - grad(x)
+        t2 = t + 0.5 * dt
+        x2 = x + 0.5 * dt * a1x
+        v2 = v + 0.5 * dt * a1v
+        a2x = v2
+        a2v = -(alpha / t2) * v2 - grad(x2)
+        x3 = x + 0.5 * dt * a2x
+        v3 = v + 0.5 * dt * a2v
+        a3x = v3
+        a3v = -(alpha / t2) * v3 - grad(x3)
+        t4 = t + dt
+        x4 = x + dt * a3x
+        v4 = v + dt * a3v
+        a4x = v4
+        a4v = -(alpha / t4) * v4 - grad(x4)
+        xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+        vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
+        x, v = xn, vn
+    return x, v
 """
 
 
@@ -76,9 +104,16 @@ class Trajectory:
         return len(self.n)
 
 
+def _ode_t0(t0: float, dt: float) -> float:
+    """The start time of run_ode: t0 clamped up to dt, so that no RK4 stage
+    samples the damping alpha/t near its singularity at t = 0."""
+    return max(t0, dt)
+
+
 def _point_form(dim: int):
     """(finiteness test, bit-equality test) for the point form of one
-    dimension, forked since they run at every step.
+    dimension, forked since _drive runs them once per record interval and
+    once per replayed step.
 
     Steps never update a point in place, so recorded points need no copy.
     Bit equality is value equality plus equal sign bits (-0.0 == 0.0 but the
@@ -93,6 +128,16 @@ def _point_form(dim: int):
         lambda p: bool(np.isfinite(p).all()),
         lambda a, b: a.tobytes() == b.tobytes(),
     )
+
+
+def _compile(template: str, names: dict, label: str):
+    """The function ``interval`` of ``template`` with ``names`` as its
+    globals.  The globals carry this module's ``__name__``, so a warning
+    raised inside the kernel is attributed to the package and meets the
+    warning filters set for it."""
+    names["__name__"] = __name__
+    exec(compile(template, f"<{__name__} {label} interval>", "exec"), names)
+    return names["interval"]
 
 
 def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
@@ -110,19 +155,26 @@ def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
         names.update(expr.names)
     else:
         step, names["grad"] = "y - h * grad(y)", obj.gradient
-    exec(_INTERVAL.format(step=step), names)
-    return names["interval"]
+    return _compile(_INTERVAL.format(step=step), names, "run_scheme")
+
+
+def _rk4_kernel(obj: ObjectiveSpec, alpha: float, dt: float):
+    """``interval(times, x, v) -> (x, v)``: the RK4 steps of run_ode that
+    start at ``times``, from the state (x, v)."""
+    return _compile(_RK4_INTERVAL, {"alpha": alpha, "dt": dt, "grad": obj.gradient}, "run_ode")
 
 
 class _Recorder:
-    """Recorded (n, x, v, gap) samples.  Lists, not preallocated arrays:
-    appending a float costs far less than storing it into an array element."""
+    """Recorded (n, x, b, gap) samples, where b is the second half of the
+    state (x_{n-1} for the scheme, v for RK4).  Lists, not preallocated
+    arrays: appending a float costs far less than storing it into an array
+    element."""
 
     def __init__(self, obj: ObjectiveSpec):
         self.obj = obj
         self.ns: list = []
         self.xs: list = []
-        self.vs: list = []
+        self.bs: list = []
         self.gaps: list = []
 
     def gap(self, x) -> float:
@@ -132,14 +184,14 @@ class _Recorder:
         except OverflowError:
             return math.inf
 
-    def add(self, n: int, x, v) -> None:
+    def add(self, n: int, x, b) -> None:
         self.ns.append(n)
         self.xs.append(x)
-        self.vs.append(v)
+        self.bs.append(b)
         self.gaps.append(self.gap(x))
 
-    def fill(self, start: int, stop: int, stride: int, x, v) -> None:
-        """Record (x, v) at every multiple of ``stride`` in [start, stop], and
+    def fill(self, start: int, stop: int, stride: int, x, b) -> None:
+        """Record (x, b) at every multiple of ``stride`` in [start, stop], and
         at ``stop`` itself."""
         first = -(-start // stride) * stride
         ns = range(first, stop + 1, stride)
@@ -148,19 +200,91 @@ class _Recorder:
         if stop % stride:
             self.ns.append(stop)
         self.xs.extend(repeat(x, count))
-        self.vs.extend(repeat(v, count))
+        self.bs.extend(repeat(b, count))
         self.gaps.extend(repeat(self.gap(x), count))
 
-    def trajectory(self, error, t_scale: float, **fields) -> Trajectory:
-        """The samples as a Trajectory with times t0 + n*t_scale."""
+    def trajectory(self, error, velocity, t_scale: float, **fields) -> Trajectory:
+        """The samples as a Trajectory with velocities ``velocity(x, b)``,
+        taken over all records at once, and times t0 + n*t_scale."""
         dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
         x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
-        v = np.asarray(self.vs, dtype=float).reshape(len(n), dim)
+        b = np.asarray(self.bs, dtype=float).reshape(len(n), dim)
         return Trajectory(
-            objective_name=self.obj.name, n=n, t=fields["t0"] + n * t_scale, x=x, v=v,
-            gap=np.array(self.gaps, dtype=float), error=error, **fields,
+            objective_name=self.obj.name, n=n, t=fields["t0"] + n * t_scale, x=x,
+            v=velocity(x, b), gap=np.array(self.gaps, dtype=float), error=error, **fields,
         )
+
+
+def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride: int,
+           velocity, t_scale: float, fixed_points: bool = False, **fields) -> Trajectory:
+    """Step ``interval`` from ``state`` for ``steps`` steps and record every
+    ``stride``-th state plus first and last.
+
+    ``interval(coefs, a, b) -> (a, b)`` takes one step per coefficient;
+    ``coefficients(ns)`` maps an array of step indices to the coefficients of
+    those steps.  The loop steps one record interval at a time, split at
+    multiples of ``_FACTOR_BLOCK``: the coefficients of a block come from one
+    numpy pass (the same IEEE operations as the per-step formula, so the same
+    bits), and the state is tested for finiteness once, at the interval's
+    end.  If that test fails, or a step raises, the interval is replayed from
+    its saved start one step at a time, testing every state: a non-finite
+    state, or an OverflowError, aborts the run at that step, and any other
+    exception propagates from the step that raises it.  The partial
+    trajectory carries an error marker and the last finite state as its
+    final record.  The loop runs with numpy's overflow and invalid-value
+    warnings off, so an n-D run that diverges warns no more than a 1-D one.
+
+    With ``fixed_points``, a state (a, b) whose halves are identical bit for
+    bit takes one step alone, and if that step returns the state unchanged,
+    the remaining records are filled with it without stepping; the caller
+    vouches that such a state steps to itself from then on.
+    """
+    finite, same = _point_form(obj.dim)
+    a, b = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = _Recorder(obj)
+        rec.add(0, a, b)
+        error = None
+        base, coefs = -_FACTOR_BLOCK, []  # coefs[i] is the coefficient of step base + i
+        replay_end = 0
+        k = 0
+        while k < steps:
+            if k - base == _FACTOR_BLOCK:
+                base = k
+                coefs = coefficients(
+                    np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)).tolist()
+            # at rest, take one step alone: if it returns the state, it is a
+            # fixed point; a replayed interval goes one step at a time too
+            at_rest = fixed_points and same(a, b)
+            single = at_rest or k < replay_end
+            end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
+            start = a, b
+            try:
+                a, b = interval(coefs[k - base:end - base], a, b)
+                ok = finite(a) and finite(b)
+            except OverflowError:
+                ok = False
+            except Exception:
+                if single:
+                    raise
+                ok = False
+            if not ok:
+                a, b = start
+                if not single:
+                    replay_end = end
+                    continue
+                error = f"non-finite state at step {k + 1}"
+                if k % stride:
+                    rec.add(k, a, b)
+                break
+            k = end
+            if at_rest and same(a, b):
+                rec.fill(k, steps, stride, a, b)
+                break
+            if k % stride == 0 or k == steps:
+                rec.add(k, a, b)
+        return rec.trajectory(error, velocity, t_scale, stride=stride, **fields)
 
 
 def run_scheme(
@@ -176,23 +300,14 @@ def run_scheme(
 
     Each step extrapolates with factor n/(n+alpha), then takes a gradient
     step (or a proximal step with ``use_prox``).  Records every
-    ``stride``-th state plus first and last.  The loop steps one record
-    interval at a time, split at multiples of ``_FACTOR_BLOCK``: the factors
-    of a block of steps come from one numpy pass (the same IEEE operations as
-    n/(n+alpha) per step, so the same bits), and the state is tested for
-    finiteness once, at the interval's end.  If that test fails, or a step
-    raises, the interval is replayed from its saved start one step at a time,
-    testing every state: a non-finite state, or an OverflowError from the
-    objective, aborts the run at that step, and any other exception
-    propagates from the step that raises it.  The partial trajectory carries
-    an error marker and the last finite state as its final record.
+    ``stride``-th state plus first and last; the steps, the divergence
+    policy and the records are _drive's, on the state (x_n, x_{n-1}).
 
-    Deferring the test is exact under one precondition: a gradient step or
-    prox maps a non-finite point to a non-finite point, so a state that goes
-    non-finite inside an interval is still non-finite at its end.  IEEE
-    arithmetic guarantees this for y - h*grad(y), and every catalog prox
-    satisfies it.  The loop runs with numpy's overflow and invalid-value
-    warnings off, so an n-D run that diverges warns no more than a 1-D one.
+    Deferring the finiteness test to an interval's end is exact under one
+    precondition: a gradient step or prox maps a non-finite point to a
+    non-finite point, so a state that goes non-finite inside an interval is
+    still non-finite at its end.  IEEE arithmetic guarantees this for
+    y - h*grad(y), and every catalog prox satisfies it.
 
     Exact fixed points end the stepping early.  When x_n and x_{n-1} are
     identical bit for bit (sign bits included), x_n - x_{n-1} is +0.0 in
@@ -207,54 +322,11 @@ def run_scheme(
     if use_prox and obj.prox is None:
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
-    finite, same = _point_form(obj.dim)
-    interval = _interval_kernel(obj, h, use_prox)
-    x = xp = as_point(x0, obj.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec = _Recorder(obj)
-        rec.add(0, x, as_point(np.zeros(obj.dim), obj.dim))
-        error = None
-        base, factors = -_FACTOR_BLOCK, []  # factors[i] is the factor of step base + i
-        replay_end = 0
-        k = 0
-        while k < steps:
-            if k - base == _FACTOR_BLOCK:
-                base = k
-                ns = np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)
-                factors = (ns / (ns + alpha)).tolist()
-            # at rest, take one step alone: if it returns x, x is a fixed point;
-            # a replayed interval goes one step at a time too
-            at_rest = same(x, xp)
-            single = at_rest or k < replay_end
-            end = k + 1 if single else min(k - k % stride + stride, steps, base + _FACTOR_BLOCK)
-            start = x, xp
-            try:
-                x, xp = interval(factors[k - base:end - base], x, xp)
-                ok = finite(x)
-            except OverflowError:
-                ok = False
-            except Exception:
-                if single:
-                    raise
-                ok = False
-            if not ok:
-                x, xp = start
-                if not single:
-                    replay_end = end
-                    continue
-                error = f"non-finite state at step {k + 1}"
-                if k % stride:
-                    rec.add(k, x, (x - xp) / sqrt_h)
-                break
-            k = end
-            if at_rest and same(x, xp):
-                rec.fill(k, steps, stride, x, (x - xp) / sqrt_h)
-                break
-            if k % stride == 0 or k == steps:
-                rec.add(k, x, (x - xp) / sqrt_h)
-    return rec.trajectory(
-        error, sqrt_h, mode="prox-nesterov" if use_prox else "nesterov",
-        alpha=alpha, step=h, t0=0.0, stride=stride,
+    x = as_point(x0, obj.dim)
+    return _drive(
+        obj, _interval_kernel(obj, h, use_prox), lambda ns: ns / (ns + alpha), (x, x),
+        steps, stride, lambda x, xp: (x - xp) / sqrt_h, sqrt_h, fixed_points=True,
+        mode="prox-nesterov" if use_prox else "nesterov", alpha=alpha, step=h, t0=0.0,
     )
 
 
@@ -272,57 +344,24 @@ def run_ode(
 
     The system is x' = v, v' = -(alpha/t) v - grad F(x).  t0 is clamped up
     to dt (the damping is singular at 0, t0 > 0 mandatory), so no stage
-    samples the damping at t <= 0; times are t0 + k*dt computed from the
-    step index.  Divergence and numpy warnings are handled as in run_scheme.
+    samples the damping at t <= 0; step k starts at t0 + k*dt, computed from
+    the step index.  The steps, the divergence policy and the records are
+    _drive's, on the state (x, v).  Deferring the finiteness test is exact
+    for any objective: each step adds to x and to v, and IEEE addition keeps
+    a non-finite term non-finite.  Fixed points are not detected: a step
+    depends on t unless every stage velocity is zero, which the state (x, v)
+    does not show.
     """
     if alpha <= 0.0 or dt <= 0.0 or steps < 1 or stride < 1:
         raise ValueError("run_ode requires alpha > 0, dt > 0, steps >= 1, stride >= 1")
     if t0 <= 0.0:
         raise ValueError(f"run_ode requires t0 > 0, got {t0}")
-    t0 = max(t0, dt)
-    finite, _ = _point_form(obj.dim)
-    grad = obj.gradient
+    t0 = _ode_t0(t0, dt)
     x = as_point(x0, obj.dim)
     v = as_point(np.zeros(obj.dim) if v0 is None else v0, obj.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rec = _Recorder(obj)
-        rec.add(0, x, v)
-        error = None
-        for k in range(steps):
-            t = t0 + k * dt
-            try:
-                a1x = v
-                a1v = -(alpha / t) * v - grad(x)
-                t2 = t + 0.5 * dt
-                x2 = x + 0.5 * dt * a1x
-                v2 = v + 0.5 * dt * a1v
-                a2x = v2
-                a2v = -(alpha / t2) * v2 - grad(x2)
-                x3 = x + 0.5 * dt * a2x
-                v3 = v + 0.5 * dt * a2v
-                a3x = v3
-                a3v = -(alpha / t2) * v3 - grad(x3)
-                t4 = t + dt
-                x4 = x + dt * a3x
-                v4 = v + dt * a3v
-                a4x = v4
-                a4v = -(alpha / t4) * v4 - grad(x4)
-                xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-                vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-            except OverflowError:
-                xn = vn = math.nan
-            if not (finite(xn) and finite(vn)):
-                error = f"non-finite state at step {k + 1}"
-                if k % stride:
-                    rec.add(k, x, v)
-                break
-            x = xn
-            v = vn
-            kk = k + 1
-            if kk % stride == 0 or kk == steps:
-                rec.add(kk, x, v)
-    return rec.trajectory(
-        error, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0, stride=stride
+    return _drive(
+        obj, _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), steps, stride,
+        lambda x, v: v, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0,
     )
 
 

@@ -417,8 +417,17 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
     def dist(x):
         return float(np.linalg.norm(V_row @ (x - x_hat)))
 
+    # (h, I + h*AtA) of the latest prox call: a run uses one h, so the matrix
+    # is built once per run.  One tuple, so that concurrent calls never pair
+    # a matrix with another call's h.
+    system = [(None, None)]
+
     def prox(h, y):
-        return as_point(np.linalg.solve(np.eye(n) + h * AtA, y + h * Atb), n)
+        last_h, M = system[0]
+        if h != last_h:
+            M = np.eye(n) + h * AtA
+            system[0] = h, M
+        return as_point(np.linalg.solve(M, y + h * Atb), n)
 
     return ObjectiveSpec(
         name=f"lsq:m={m},n={n}",

@@ -73,6 +73,20 @@ def test_invalid_combinations_report_violation():
         })
 
 
+def test_rk4_horizon_is_checked_from_the_clamped_start(tmp_path):
+    """run_ode starts at max(t0, dt): with t0 = 1e-9 and dt = 1e-3, five steps
+    end at 6e-3, short of 10*dt, whatever the raw t0."""
+    doc = {"objective": "power:gamma=2,dim=1", "alpha": 6, "mode": "ode-rk4",
+           "t0": 1e-9, "dt": 1e-3, "steps": 5, "outdir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError, match="horizon"):
+        config_from_dict(doc)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    config_from_dict({**doc, "steps": 9})  # ends at 1e-2 = 10*dt
+
+
 def test_seed_key_rejected():
     # nothing in a run is random; the former seed key is now an unknown key
     with pytest.raises(ConfigError, match="unknown config keys"):

@@ -696,6 +696,129 @@ def test_factor_memory_is_bounded_by_the_block():
     assert peak < 1_000_000
 
 
+# ---------------------------------------------------------------------------
+# RK4 through the same interval loop: time blocks, deferred finiteness test
+# ---------------------------------------------------------------------------
+
+def _assert_rk4_records_match_recurrence(traj, obj, alpha, dt, t0, x0, v0, steps, stride,
+                                         error_step=None):
+    """Every record of traj (n, t, x, v, gap, sign bits included) equals the
+    written-out RK4 recurrence, stepped to the end or, for a run whose step
+    ``error_step`` goes non-finite, to the state before it, which is then
+    the last record, with the error marker."""
+    last = steps if error_step is None else error_step - 1
+    xs, vs = _rk4_recurrence(obj.gradient, alpha, dt, t0, x0, v0, last)
+    xs, vs = xs.reshape(last + 1, obj.dim), vs.reshape(last + 1, obj.dim)
+    ns = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
+    points = xs[ns, 0].tolist() if obj.dim == 1 else xs[ns]
+    gaps = np.array([obj.value(p) - obj.f_star for p in points])
+    if error_step is None:
+        assert traj.error is None
+    else:
+        assert traj.error == f"non-finite state at step {error_step}"
+    assert list(traj.n) == ns
+    assert np.array_equal(traj.t, t0 + np.array(ns) * dt)
+    for got, want in ((traj.x, xs[ns]), (traj.v, vs[ns]), (traj.gap, gaps)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("stride", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 9_000])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_rk4_interval_loop_matches_recurrence(dim, stride):
+    """9,000 steps: two full time blocks and part of a third, and a step
+    count that is no multiple of the stride (except stride = steps)."""
+    obj = make_power(3.0, dim)
+    x0 = 0.6 if dim == 1 else np.array([0.6, -0.2, 0.1])
+    v0 = 0.1 if dim == 1 else np.array([0.1, 0.0, -0.05])
+    traj = run_ode(obj, 3.0, 1e-3, 0.5, 9_000, x0, v0, stride=stride)
+    _assert_rk4_records_match_recurrence(traj, obj, 3.0, 1e-3, 0.5, x0, v0, 9_000, stride)
+
+
+_RK4_ALPHA, _RK4_DT, _RK4_T0 = 3.0, 1e-3, 1.0
+
+
+def _rk4_cliff_at(dim, j, beyond):
+    """A cliff objective (a constant push along u below norm c) whose RK4
+    step j (counted from 1) is the first to reach the cliff, at its last
+    stage point x4, the start (x0, v0) it is run from, and that point."""
+    x0 = 0.5 if dim == 1 else 0.5 * np.array([1.0, 0.5, -0.25])
+    v0 = 0.2 * x0
+    free = _cliff_objective(dim, math.inf, None)
+    alpha, dt = _RK4_ALPHA, _RK4_DT
+    xs, vs = _rk4_recurrence(free.gradient, alpha, dt, _RK4_T0, x0, v0, j - 1)
+    norm = abs if dim == 1 else np.linalg.norm
+    stages = []
+    for k in range(j):
+        x, v, t = xs[k], vs[k], _RK4_T0 + k * dt
+        v2 = v + 0.5 * dt * (-(alpha / t) * v - free.gradient(x))
+        v3 = v + 0.5 * dt * (-(alpha / (t + 0.5 * dt)) * v2 - free.gradient(x + 0.5 * dt * v))
+        stages += [x, x + 0.5 * dt * v, x + 0.5 * dt * v2, x + dt * v3]
+    c = norm(stages[-1])
+    assert all(norm(p) < c for p in stages[:-1])  # the push moves every stage out along u
+    return _cliff_objective(dim, c, beyond), x0, v0, stages[-1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("stride", [7, _BLOCK])
+@pytest.mark.parametrize("j", [
+    1,               # the first step
+    73,              # mid-interval (stride 7)
+    77,              # an interval's last step (stride 7)
+    _BLOCK,          # the last step of block 0
+    _BLOCK + 1,      # the first step of block 1
+    5_000,           # the run's last step
+])
+def test_rk4_divergence_matches_per_step_reference(j, stride, dim):
+    """The gradient at step j's last stage is infinite, so v goes non-finite
+    at step j while x stays finite: same marker, and records up to the state
+    before it with that state as the last record, as stepping and testing
+    one step at a time gives."""
+    obj, x0, v0, _ = _rk4_cliff_at(dim, j, _to_infinity)
+    traj = run_ode(obj, _RK4_ALPHA, _RK4_DT, _RK4_T0, 5_000, x0, v0, stride=stride)
+    _assert_rk4_records_match_recurrence(traj, obj, _RK4_ALPHA, _RK4_DT, _RK4_T0, x0, v0,
+                                         5_000, stride, error_step=j)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("j", [1, 73, _BLOCK + 1])
+def test_rk4_overflow_error_at_step_j_gives_marker_step_j(j, dim):
+    def overflow(y):
+        raise OverflowError(34, "Numerical result out of range")
+
+    obj, x0, v0, _ = _rk4_cliff_at(dim, j, overflow)
+    traj = run_ode(obj, _RK4_ALPHA, _RK4_DT, _RK4_T0, 5_000, x0, v0, stride=100)
+    _assert_rk4_records_match_recurrence(traj, obj, _RK4_ALPHA, _RK4_DT, _RK4_T0, x0, v0,
+                                         5_000, 100, error_step=j)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("j", [1, 73, _BLOCK + 1])
+def test_rk4_other_exceptions_propagate_from_their_step(j, dim):
+    """Not a non-finite state: the ValueError leaves run_ode, raised at the
+    last stage point of step j."""
+    def fail(y):
+        raise ValueError(y)
+
+    obj, x0, v0, x4 = _rk4_cliff_at(dim, j, fail)
+    with pytest.raises(ValueError) as info:
+        run_ode(obj, _RK4_ALPHA, _RK4_DT, _RK4_T0, 5_000, x0, v0, stride=100)
+    assert np.array_equal(info.value.args[0], x4)
+
+
+def test_rk4_time_memory_is_bounded_by_the_block():
+    """A single record interval of 5e4 RK4 steps holds one block of step
+    start times at a time, not 5e4 of them."""
+    tracemalloc.start()
+    try:
+        run_ode(make_power(2.0), 3.0, 1e-5, 0.1, 50_000, 0.6, stride=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 def test_scheme_converges_to_the_flow_at_first_order_in_sqrt_h(gamma):
     """Under t = n sqrt(h), x_n at T = 2 approaches the flow's x(2) (RK4 with

@@ -11,11 +11,12 @@ calling the reference records.
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inertial_rates.dynamics import _interval_kernel, run_scheme
+from inertial_rates.dynamics import _interval_kernel, _rk4_kernel, run_scheme
 from inertial_rates.objectives import (
     ObjectiveSpec,
     make_plateau,
@@ -150,3 +151,18 @@ def test_catalog_prox_is_prox_power(gamma, log_h, y):
     gamma, built once at construction."""
     h = 10.0 ** log_h
     assert _outcome(make_power(gamma).prox, h, y) == _outcome(prox_power, gamma, h, y)
+
+
+def test_kernel_warnings_meet_the_package_warning_filter():
+    """A numpy RuntimeWarning raised inside a compiled kernel is attributed
+    to the package, so the pytest configuration's
+    ``error::RuntimeWarning:inertial_rates`` turns it into an error; here
+    inf - inf, outside the errstate that the run loop sets."""
+    inf = np.array([math.inf, 0.0, 0.0])
+    obj = make_power(2.0, 3)
+    scheme = _interval_kernel(obj, 1e-3, use_prox=False)
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        scheme([0.5], inf, inf)  # x - xp
+    rk4 = _rk4_kernel(obj, 3.0, 1e-3)
+    with pytest.raises(RuntimeWarning, match="invalid value"):
+        rk4([1.0], np.zeros(3), inf)  # v + 0.5*dt*a1v with a1v = -inf

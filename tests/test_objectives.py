@@ -110,6 +110,18 @@ def test_least_squares_with_one_unknown_takes_and_returns_floats():
     assert check_gradient(obj, 0.3) < 1e-6
 
 
+def test_least_squares_prox_equals_a_fresh_solve_for_any_sequence_of_h():
+    """The prox keeps I + h*A^T A for the latest h; alternating and repeated
+    steps give the bits of a solve with the matrix built afresh."""
+    A = np.array([[1.0, 2.0], [0.5, -1.0], [0.0, 1.0]])
+    b = np.array([1.0, 0.0, 2.0])
+    obj = make_least_squares(A, b)
+    y = np.array([0.3, -0.7])
+    for h in (1e-3, 1e-3, 0.5, 1e-3, 2.0, 2.0, 1e-3):
+        want = np.linalg.solve(np.eye(2) + h * (A.T @ A), y + h * (A.T @ b))
+        assert obj.prox(h, y).tobytes() == want.tobytes()
+
+
 def test_least_squares_rejects_zero_operator():
     with pytest.raises(ValueError):
         make_least_squares(np.zeros((2, 2)), np.ones(2))
