@@ -2,13 +2,11 @@
 x'' + (alpha/t) x' + grad F(x) = 0 and its discrete accelerated scheme."""
 
 from .objectives import (
-    GammaBound,
     GeometryProbeReport,
     ObjectiveSpec,
     as_point,
     check_gradient,
     flatness_constant,
-    gamma_from_lipschitz,
     make_least_squares,
     make_plateau,
     make_power,

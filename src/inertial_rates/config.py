@@ -194,6 +194,8 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
             )
     elif cfg.h <= 0.0:
         raise ConfigError(f"h must be > 0, got {cfg.h}")
+    elif any(cfg.v0):
+        raise ConfigError(f"{cfg.mode} starts from rest; v0 must be zero, got {list(cfg.v0)}")
     if len(cfg.x0) != obj.dim or len(cfg.v0) != obj.dim:
         raise ConfigError(
             f"x0/v0 must have dim {obj.dim} for {cfg.objective!r}, "

@@ -287,6 +287,14 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
         return rec.trajectory(error, velocity, t_scale, stride=stride, **fields)
 
 
+def _start_point(caller: str, name: str, coords, dim: int):
+    """``coords`` in point form; raises ValueError when one is not finite."""
+    p = as_point(coords, dim)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{caller} requires a finite {name}, got {coords!r}")
+    return p
+
+
 def run_scheme(
     obj: ObjectiveSpec,
     alpha: float,
@@ -322,7 +330,7 @@ def run_scheme(
     if use_prox and obj.prox is None:
         raise ValueError(f"objective {obj.name} exposes no prox")
     sqrt_h = math.sqrt(h)
-    x = as_point(x0, obj.dim)
+    x = _start_point("run_scheme", "x0", x0, obj.dim)
     return _drive(
         obj, _interval_kernel(obj, h, use_prox), lambda ns: ns / (ns + alpha), (x, x),
         steps, stride, lambda x, xp: (x - xp) / sqrt_h, sqrt_h, fixed_points=True,
@@ -357,8 +365,8 @@ def run_ode(
     if t0 <= 0.0:
         raise ValueError(f"run_ode requires t0 > 0, got {t0}")
     t0 = _ode_t0(t0, dt)
-    x = as_point(x0, obj.dim)
-    v = as_point(np.zeros(obj.dim) if v0 is None else v0, obj.dim)
+    x = _start_point("run_ode", "x0", x0, obj.dim)
+    v = _start_point("run_ode", "v0", np.zeros(obj.dim) if v0 is None else v0, obj.dim)
     return _drive(
         obj, _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), steps, stride,
         lambda x, v: v, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0,

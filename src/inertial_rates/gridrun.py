@@ -38,22 +38,21 @@ class CellResult:
 def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "cell") -> CellResult:
     """Run one experiment and write trajectory/energy/z/verdict files.
 
-    The verdict starts not assessed.  A run with more than one record also
-    gets energy.csv and z.csv, at the exponent of the (alpha, gamma) rate
-    regime, and its verify_rate verdict, or the regime and a verdict_error
-    when the records cannot support one; the energy uses select_params'
-    default Lyapunov family for that regime, centred on
-    reference_point(obj, x0)."""
+    verdict.json always carries the (alpha, gamma) rate regime; the verdict
+    starts not assessed.  A run with more than one record also gets
+    energy.csv and z.csv, at the regime's exponent, and its verify_rate
+    verdict, or a verdict_error when the records cannot support one; the
+    energy uses select_params' default Lyapunov family for that regime,
+    centred on reference_point(obj, x0)."""
     out = outdir if outdir is not None else cfg.outdir
     try:
         obj = cfg.build_objective()
+        regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
         traj = dynamics.run(cfg, obj)
         t_text = io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-        gamma = obj.nominal_gamma
         verdict, notes, z = None, {}, None
         if len(traj) > 1:  # else it diverged at its first step: no record with t > 0
-            regime = rates.theoretical_rate(cfg.alpha, gamma)
-            params = lyapunov.select_params(cfg.alpha, gamma)
+            params = lyapunov.select_params(regime.alpha, regime.gamma)
             table = lyapunov.energy_along(traj, params, x_star=reference_point(obj, cfg.x0))
             io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
             zs = rates.z_sequence(traj, regime.exponent)
@@ -64,11 +63,10 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
             except ValueError as exc:
                 # simulation succeeded but cannot support a rate verdict
                 # (degenerate gaps or a horizon too short for the tail tests)
-                notes = dict(branch=regime.branch, theoretical=regime.exponent,
-                             verdict_error=str(exc))
+                notes["verdict_error"] = str(exc)
         if traj.error:
             notes["trajectory_error"] = traj.error
-        vdict = {**io.verdict_to_dict(verdict, cfg.objective, cfg.alpha, gamma), **notes}
+        vdict = {**io.verdict_to_dict(cfg.objective, regime, verdict), **notes}
         io.write_json(vdict, os.path.join(out, "verdict.json"))
         return CellResult(label, cfg, vdict, z, error=traj.error)
     except Exception as exc:  # isolate the cell; the grid must survive

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .lyapunov import EnergyTable
-from .rates import RateVerdict, ZSeries
+from .rates import RateRegime, RateVerdict, ZSeries
 
 
 def fmt(x: float) -> str:
@@ -126,42 +126,24 @@ def write_z_csv(zs: ZSeries, path: str, t_text: Optional[ColumnText] = None) -> 
     _write_columns(path, ["t", "z"], [t, zs.z], offset)
 
 
-def verdict_to_dict(
-    verdict: Optional[RateVerdict], objective: str, alpha: float, gamma: float
-) -> dict:
-    """Flatten a verdict for JSON; None yields a not-assessed skeleton."""
-    base = {
+# The RateVerdict fields verdict.json carries; null when a cell is not assessed.
+ASSESSED = ("fitted", "fitted_err", "z_global_max", "z_tail_ratio", "boundedness", "nonvanishing")
+
+
+def verdict_to_dict(objective: str, regime: RateRegime, verdict: Optional[RateVerdict]) -> dict:
+    """Flatten one cell's verdict for JSON: the regime of every cell, and the
+    ASSESSED fields of ``verdict`` (None: not assessed, all null)."""
+    return {
         "objective": objective,
-        "alpha": alpha,
-        "gamma": gamma,
-        "branch": None,
-        "theoretical": None,
-        "fitted": None,
-        "fitted_err": None,
-        "z_global_max": None,
-        "z_tail_ratio": None,
-        "boundedness": None,
-        "nonvanishing": None,
-        "upper_bound": None,
-        "lower_bound": None,
-        "passed": False,
+        "alpha": regime.alpha,
+        "gamma": regime.gamma,
+        "branch": regime.branch,
+        "theoretical": regime.exponent,
+        "upper_bound": "proven" if regime.upper_bound_proven else "unproven",
+        "lower_bound": "proven" if regime.lower_bound_proven else "unproven",
+        **{k: None if verdict is None else getattr(verdict, k) for k in ASSESSED},
+        "passed": verdict is not None and verdict.passed,
     }
-    if verdict is None:
-        return base
-    base.update(
-        branch=verdict.branch,
-        theoretical=verdict.theoretical,
-        fitted=verdict.fitted,
-        fitted_err=verdict.fitted_err,
-        z_global_max=verdict.z_global_max,
-        z_tail_ratio=verdict.z_tail_ratio,
-        boundedness=verdict.boundedness,
-        nonvanishing=verdict.nonvanishing,
-        upper_bound="proven" if verdict.upper_bound_proven else "unproven",
-        lower_bound="proven" if verdict.lower_bound_proven else "unproven",
-        passed=verdict.passed,
-    )
-    return base
 
 
 def write_json(obj: dict, path: str) -> None:

@@ -90,14 +90,6 @@ class GeometryProbeReport:
         return "holds" if self.holds else "violated"
 
 
-@dataclass(frozen=True)
-class GammaBound:
-    """Flatness exponent implied by Lipschitz smoothness plus quadratic growth."""
-
-    gamma: float
-    in_range: bool  # gamma within the admissible interval (1, 2]
-
-
 def as_point(coords, dim: int) -> Point:
     """The point form of ``dim`` coordinates: a Python float at dimension 1
     and a ``(dim,)`` float array otherwise.  ``coords`` is a number, or a
@@ -586,17 +578,6 @@ def flatness_constant(
             continue
         M = max(M, (obj.value(x) - obj.f_star) / d ** gamma)
     return M
-
-
-def gamma_from_lipschitz(K: float, L: float) -> GammaBound:
-    """Flatness exponent 1 + K/(2L) implied by an L-Lipschitz gradient plus
-    quadratic growth with constant K; flags (without clamping) results
-    outside the admissible range (1, 2], which signal inconsistent (K, L).
-    """
-    if K <= 0.0 or L <= 0.0:
-        raise ValueError("gamma_from_lipschitz requires K > 0 and L > 0")
-    gamma = 1.0 + K / (2.0 * L)
-    return GammaBound(gamma=gamma, in_range=gamma <= 2.0)
 
 
 def parse_objective(spec: str) -> ObjectiveSpec:

@@ -193,16 +193,17 @@ def z_sequence(traj: Trajectory, exponent: float) -> ZSeries:
 class RateVerdict:
     """Combined empirical verdict for one trajectory against one regime."""
 
-    branch: str
-    theoretical: float
+    regime: RateRegime
     fitted: float
     fitted_err: float
     z_global_max: float       # pre-normalization max of gap * t**rate
     z_tail_ratio: float       # tail max / global max (z is normalized to max 1)
     boundedness: bool
     nonvanishing: bool
-    upper_bound_proven: bool
-    lower_bound_proven: bool
+
+    @property
+    def branch(self) -> str:
+        return self.regime.branch
 
     @property
     def passed(self) -> bool:
@@ -260,14 +261,11 @@ def verify_rate(traj: Trajectory, regime: RateRegime) -> RateVerdict:
             window = (cap / 10.0, cap)
     fit = fit_series(traj.t, traj.gap, window)
     return RateVerdict(
-        branch=regime.branch,
-        theoretical=regime.exponent,
+        regime=regime,
         fitted=fit.exponent,
         fitted_err=fit.stderr,
         z_global_max=zs.prenorm_max,
         z_tail_ratio=ratio,
         boundedness=ratio <= BOUNDEDNESS_SLACK,
         nonvanishing=ratio >= NONVANISH_THRESHOLD,
-        upper_bound_proven=regime.upper_bound_proven,
-        lower_bound_proven=regime.lower_bound_proven,
     )

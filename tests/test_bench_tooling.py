@@ -68,3 +68,18 @@ def test_workload_documents_pass_config_validation(workload, monkeypatch):
     spec.loader.exec_module(module)
     doc, _ = module.WORKLOADS[workload](random.Random(1))
     inertial_rates.parse_config(json.dumps(doc))
+
+
+def test_cell_faults_accepts_a_passing_cell(monkeypatch, tmp_path):
+    """The benchmark reads verdict keys by name: a renamed key fails here
+    instead of failing every benchmark cell."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run_bench.py")
+    run_bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_bench)
+    cfg = inertial_rates.config.config_from_dict({
+        "objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 60_000,
+        "h": 1e-4, "stride": 10, "x0": [0.5],
+    })
+    result = inertial_rates.gridrun.run_cell(cfg, str(tmp_path))
+    assert run_bench.cell_faults(result, 6.0, 2.0) == []

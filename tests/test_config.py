@@ -185,6 +185,27 @@ def test_subnormal_prox_step_is_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["nesterov", "prox-nesterov"])
+def test_scheme_modes_reject_a_nonzero_v0(tmp_path, mode):
+    # the scheme starts from rest; a v0 it would ignore is a config error
+    run = {"mode": mode, "steps": 10, "x0": [0.5, 0.0], "outdir": str(tmp_path / "out")}
+    doc = {"objective": "power:gamma=2,dim=2", "alpha": 6, **run}
+    config_from_dict({**doc, "v0": [0.0, -0.0]})
+    config_from_dict({**doc, "mode": "ode-rk4", "steps": 1000, "v0": [0.0, 0.1]})
+    with pytest.raises(ConfigError, match="v0 must be zero"):
+        parse_config(json.dumps({**doc, "v0": [0.0, 0.1]}))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--v0", "0.1,0"]) == 2
+    grid = {"grid": {"pairs": [[6, 2]], "objective": "power:gamma={gamma},dim=2"},
+            "run": {**run, "v0": [0.1, 0.0]}}
+    with pytest.raises(ConfigError, match="v0 must be zero"):
+        parse_config(json.dumps(grid))
+    path.write_text(json.dumps(grid))
+    assert main(["grid", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_steps_must_be_integral():
     with pytest.raises(ConfigError, match="integer"):
         config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6, "steps": 10.5})

@@ -154,6 +154,20 @@ def test_rk4_rejects_bad_alpha_and_dt():
         run_ode(obj, alpha=3.0, dt=0.1, t0=0.0, steps=1, x0=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_runs_reject_a_non_finite_start(dim, bad):
+    """A non-finite start is a bad argument, not a step that diverged."""
+    obj = make_power(2.0, dim=dim)
+    start = [bad] + [0.0] * (dim - 1)
+    with pytest.raises(ValueError, match="run_scheme requires a finite x0"):
+        run_scheme(obj, alpha=3.0, h=1e-3, steps=10, x0=start)
+    with pytest.raises(ValueError, match="run_ode requires a finite x0"):
+        run_ode(obj, alpha=3.0, dt=1e-3, t0=1.0, steps=10, x0=start)
+    with pytest.raises(ValueError, match="run_ode requires a finite v0"):
+        run_ode(obj, alpha=3.0, dt=1e-3, t0=1.0, steps=10, x0=[0.5] * dim, v0=start)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------

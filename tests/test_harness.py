@@ -113,6 +113,39 @@ def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     assert (tmp_path / "trajectory.csv").exists()
 
 
+def test_verdict_json_has_one_key_set_and_always_the_regime(tmp_path):
+    """An assessed cell, a verdict_error cell, a trajectory_error cell and a
+    cell that diverged at its first step write the same verdict keys (plus
+    their error notes), and each carries the regime of its (alpha, gamma)."""
+    short_rk4 = {"objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 2000,
+                 "mode": "ode-rk4", "dt": 1e-3, "t0": 0.1, "x0": [0.5]}
+    divergent = {"alpha": 3.0, "steps": 1000, "stride": 100}
+    cells = {  # name: (run, gamma, error notes)
+        "assessed": (SMALL_RUN, 2.0, set()),
+        "short-rk4": (short_rk4, 2.0, {"verdict_error"}),
+        "overflowed-gap": (dict(divergent, objective="power:gamma=3,dim=1", h=10.0, x0=[5.0]),
+                           3.0, {"verdict_error", "trajectory_error"}),
+        "diverged-at-step-1": (dict(divergent, objective="power:gamma=4,dim=1", h=1.0,
+                                    x0=[1e103]), 4.0, {"trajectory_error"}),
+    }
+    keys = set()
+    for name, (run, gamma, notes) in cells.items():
+        res = run_cell(config_from_dict(run), str(tmp_path / name))
+        verdict = json.loads((tmp_path / name / "verdict.json").read_text())
+        assert verdict == res.verdict
+        assert notes <= set(verdict)
+        keys.add(frozenset(set(verdict) - notes))
+        reg = rates.theoretical_rate(run["alpha"], gamma)
+        assert (verdict["alpha"], verdict["gamma"]) == (reg.alpha, reg.gamma)
+        assert (verdict["branch"], verdict["theoretical"]) == (reg.branch, reg.exponent)
+        assert verdict["upper_bound"] == ("proven" if reg.upper_bound_proven else "unproven")
+        assert verdict["lower_bound"] == ("proven" if reg.lower_bound_proven else "unproven")
+        assert verdict["passed"] is not bool(notes)
+        assert (verdict["fitted"] is None) is bool(notes)
+    assert keys == {frozenset({"objective", "alpha", "gamma", "branch", "theoretical",
+                               "upper_bound", "lower_bound", *io.ASSESSED, "passed"})}
+
+
 @pytest.mark.parametrize("mode", ["nesterov", "prox-nesterov", "ode-rk4"])
 def test_run_cell_runs_an_lsq_file_with_one_unknown(tmp_path, mode):
     path = tmp_path / "one.csv"

@@ -10,7 +10,6 @@ from inertial_rates.objectives import (
     as_point,
     check_gradient,
     flatness_constant,
-    gamma_from_lipschitz,
     make_least_squares,
     make_plateau,
     make_power,
@@ -572,23 +571,8 @@ def test_flatness_constant_reports_finite_bound():
 
 
 # ---------------------------------------------------------------------------
-# lipschitz-implied flatness and gradient checks
+# gradient checks
 # ---------------------------------------------------------------------------
-
-def test_gamma_from_lipschitz_boundary():
-    gb = gamma_from_lipschitz(2.0, 1.0)
-    assert gb.gamma == 2.0 and gb.in_range
-
-
-def test_gamma_from_lipschitz_midpoint():
-    gb = gamma_from_lipschitz(1.0, 1.0)
-    assert gb.gamma == 1.5 and gb.in_range
-
-
-def test_gamma_from_lipschitz_flags_inconsistent_pair():
-    gb = gamma_from_lipschitz(4.0, 1.0)
-    assert gb.gamma == 3.0 and not gb.in_range  # value reported, not clamped
-
 
 def test_check_gradient_quadratic():
     assert check_gradient(make_power(2.0), 1.0, 1e-5) <= 1e-8
