@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Subcommands: run (single experiment), grid (cell family), probe (geometry
-hypotheses), rate (theoretical exponent).  Exit codes: 0 all asserted
-verdicts pass, 1 some asserted verdict fails, 2 configuration error.
+Subcommands: run (single experiment), grid (cell family), export (the
+CSV files of a run or grid directory, from its records.npz), probe
+(geometry hypotheses), rate (theoretical exponent).  Exit codes: 0 all
+asserted verdicts pass (export: every cell written), 1 some asserted verdict
+fails, 2 configuration error (export: no records.npz, or a cell file that
+does not load).
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid = sub.add_parser("grid", help="run a grid of (alpha, gamma) cells")
     grid.add_argument("--config", required=True, help="JSON grid config file")
     grid.add_argument("--outdir", default=None, help="override output directory")
+
+    export = sub.add_parser("export", help="write the CSV files of a run or grid directory")
+    export.add_argument("dir", help="a run's output directory, or a grid's")
 
     probe = sub.add_parser("probe", help="sample geometry hypotheses on an objective")
     probe.add_argument("--objective", required=True)
@@ -133,6 +139,11 @@ def _cmd_grid(args) -> int:
     return 0 if ok else 1
 
 
+def _cmd_export(args) -> int:
+    print("\n".join(f"exported {cell}" for cell in gridrun.export(args.dir)))
+    return 0
+
+
 def _cmd_probe(args) -> int:
     obj = parse_objective(args.objective)
     if not args.h1 and not args.h2:
@@ -166,21 +177,19 @@ def _cmd_rate(args) -> int:
     reg = rates.theoretical_rate(args.alpha, args.gamma)
     print(f"branch   {reg.branch}")
     print(f"exponent {reg.exponent:.12g}")
-    print(f"upper bound {'proven' if reg.upper_bound_proven else 'unproven'}")
-    print(f"lower bound {'proven' if reg.lower_bound_proven else 'unproven'}")
+    for key, marker in reg.bounds().items():
+        print(f"{key.replace('_', ' ')} {marker}")
     return 0
+
+
+COMMANDS = {"run": _cmd_run, "grid": _cmd_grid, "export": _cmd_export,
+            "probe": _cmd_probe, "rate": _cmd_rate}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "probe":
-            return _cmd_probe(args)
-        return _cmd_rate(args)
+        return COMMANDS[args.command](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from typing import Optional, Tuple, Union
 
 from .dynamics import MODES, _ode_t0
 from .objectives import ObjectiveSpec, parse_objective
+from .rates import scheme_fit_cap
 
 # recorded samples per run (steps // stride + 2 at most); each costs memory
 # whether or not the run steps to the end
@@ -196,11 +197,32 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         raise ConfigError(f"h must be > 0, got {cfg.h}")
     elif any(cfg.v0):
         raise ConfigError(f"{cfg.mode} starts from rest; v0 must be zero, got {list(cfg.v0)}")
+    elif obj.nominal_gamma <= 2.0:
+        _check_fit_window(cfg)
     if len(cfg.x0) != obj.dim or len(cfg.v0) != obj.dim:
         raise ConfigError(
             f"x0/v0 must have dim {obj.dim} for {cfg.objective!r}, "
             f"got {len(cfg.x0)}/{len(cfg.v0)}"
         )
+
+
+def _check_fit_window(cfg: ExperimentConfig) -> None:
+    """Reject a run that verify_rate would fail for its stride alone: a scheme
+    run on a sharp objective that passes scheme_fit_cap(h), with a z tail
+    spanning a decade, but fewer than the 10 record times fit_series needs in
+    the window verify_rate fits, [cap/10, cap], where stride 1 would give 10."""
+    sqrt_h, cap = math.sqrt(cfg.h), scheme_fit_cap(cfg.h)
+    t_first, t_end = min(cfg.stride, cfg.steps) * sqrt_h, cfg.steps * sqrt_h
+    l0, l1 = math.log10(t_first), math.log10(t_end)  # as verify_rate spans its z tail
+
+    def records(stride: int) -> int:  # record j*stride is at t = j*stride*sqrt(h)
+        first = math.floor(cap / 10.0 / (stride * sqrt_h))  # the window starts 0-2 later
+        return sum(cap / 10.0 <= j * stride * sqrt_h <= cap for j in range(first, first + 12))
+
+    if cap < t_end and l1 - 0.5 * (l0 + l1) >= 1.0 and records(cfg.stride) < 10 <= records(1):
+        raise ConfigError(f"stride {cfg.stride} leaves {records(cfg.stride)} record(s) in "
+                          f"[{cap / 10:g}, {cap:g}], the window verify_rate fits on a gamma <= 2 "
+                          "objective below scheme_fit_cap(h); it needs 10, so lower stride")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Grid execution: one output directory per cell, failure isolation, and a
-theoretical-vs-fitted summary across cells.
+"""Grid execution: one output directory per cell, failure isolation, a
+theoretical-vs-fitted summary across cells, and the CSV export of run and
+grid directories.
 
 Workers recreate objectives from their config strings, so cells ship only
 plain dataclasses between processes.  INERTIAL_RATES_WORKERS overrides the
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import dynamics, io, lyapunov, rates
 from .config import ExperimentConfig, GridSpec
-from .objectives import reference_point
+from .objectives import parse_objective, reference_point
 
 WORKERS_ENV = "INERTIAL_RATES_WORKERS"
 
@@ -36,27 +37,22 @@ class CellResult:
 
 
 def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "cell") -> CellResult:
-    """Run one experiment and write trajectory/energy/z/verdict files.
+    """Run one experiment and write records.npz and verdict.json.
 
     verdict.json always carries the (alpha, gamma) rate regime; the verdict
-    starts not assessed.  A run with more than one record also gets
-    energy.csv and z.csv, at the regime's exponent, and its verify_rate
-    verdict, or a verdict_error when the records cannot support one; the
-    energy uses select_params' default Lyapunov family for that regime,
-    centred on reference_point(obj, x0)."""
+    starts not assessed.  A run with more than one record also gets its z
+    sequence, at the regime's exponent, and its verify_rate verdict, or a
+    verdict_error when the records cannot support one.  export_cell turns
+    the two files into CSV."""
     out = outdir if outdir is not None else cfg.outdir
     try:
         obj = cfg.build_objective()
         regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
         traj = dynamics.run(cfg, obj)
-        t_text = io.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
+        io.write_records(traj, os.path.join(out, "records.npz"))
         verdict, notes, z = None, {}, None
         if len(traj) > 1:  # else it diverged at its first step: no record with t > 0
-            params = lyapunov.select_params(regime.alpha, regime.gamma)
-            table = lyapunov.energy_along(traj, params, x_star=reference_point(obj, cfg.x0))
-            io.write_energy_csv(table, os.path.join(out, "energy.csv"), t_text=t_text)
             zs = rates.z_sequence(traj, regime.exponent)
-            io.write_z_csv(zs, os.path.join(out, "z.csv"), t_text=t_text)
             z = (zs.t, zs.z)
             try:
                 verdict = rates.verify_rate(traj, regime)
@@ -71,6 +67,36 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
         return CellResult(label, cfg, vdict, z, error=traj.error)
     except Exception as exc:  # isolate the cell; the grid must survive
         return CellResult(label, cfg, None, None, error=f"{type(exc).__name__}: {exc}")
+
+
+def export_cell(celldir: str) -> None:
+    """Write trajectory.csv, and for a run with more than one record
+    energy.csv and z.csv, from the cell's records.npz and verdict.json.
+
+    z is taken at the regime exponent of verdict.json's (alpha, gamma); the
+    energy uses select_params' default Lyapunov family for that regime,
+    centred on reference_point(obj, x0)."""
+    records, objective, regime = io.read_cell(celldir)
+    io.write_trajectory_csv(records, os.path.join(celldir, "trajectory.csv"))
+    if len(records.t) > 1:
+        params = lyapunov.select_params(regime.alpha, regime.gamma)
+        x_star = reference_point(parse_objective(objective), records.x[0])
+        io.write_energy_csv(lyapunov.energy_along(records, params, x_star=x_star),
+                            os.path.join(celldir, "energy.csv"))
+        io.write_z_csv(rates.z_sequence(records, regime.exponent), os.path.join(celldir, "z.csv"))
+
+
+def export(path: str) -> list:
+    """export_cell on each cell directory (one holding records.npz) among
+    ``path``, a run's directory, and its subdirectories, a grid's cells;
+    returns them.  ValueError when there is none or a cell does not load."""
+    cells = [d for d in (path, *sorted(os.path.join(path, e) for e in os.listdir(path)))
+             if os.path.isfile(os.path.join(d, "records.npz"))]
+    if not cells:
+        raise ValueError(f"no records.npz in {path} or its subdirectories")
+    for cell in cells:
+        export_cell(cell)
+    return cells
 
 
 def _grid_worker(item):

@@ -1,17 +1,18 @@
-"""Deterministic file output: trajectory / energy / z CSV files, verdict
-JSON, and grid summaries.  Identical inputs produce byte-identical files.
+"""Deterministic file output: the records.npz of a run and its CSV export
+(trajectory / energy / z), verdict JSON, and grid summaries.  Identical
+inputs produce byte-identical files.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .lyapunov import EnergyTable
-from .rates import RateRegime, RateVerdict, ZSeries
+from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
 
 
 def fmt(x: float) -> str:
@@ -34,16 +35,6 @@ def _write_text(path: str, text: str) -> None:
 _BLOCK_ROWS = 4096
 
 
-class ColumnText(NamedTuple):
-    """The CSV text of a float column: ``values`` and, for each block of
-    _BLOCK_ROWS rows, its cells joined by newlines.  A file whose column is a
-    bit-identical suffix of ``values`` writes this text instead of formatting
-    the column again."""
-
-    values: np.ndarray
-    blocks: List[str]
-
-
 def _texts(block: np.ndarray) -> List[str]:
     """The cells of one column block: integers as %d, floats as %.17g (the
     same text as fmt).  Floats are split into runs of equal bit patterns
@@ -62,68 +53,62 @@ def _texts(block: np.ndarray) -> List[str]:
     return np.repeat(text, np.diff(starts, append=len(block))).tolist()
 
 
-def _column_text(values: np.ndarray) -> ColumnText:
-    blocks = range(0, len(values), _BLOCK_ROWS)
-    return ColumnText(values, ["\n".join(_texts(values[lo:lo + _BLOCK_ROWS])) for lo in blocks])
-
-
-def _suffix_of(text: Optional[ColumnText], values: np.ndarray) -> Tuple[object, int]:
-    """(text, rows it has before ``values``) when ``values`` is a nonempty
-    bit-identical suffix of ``text.values``, else (values, 0)."""
-    if text is not None:
-        offset = len(text.values) - len(values)
-        if 0 <= offset < len(text.values) and np.array_equal(
-            text.values[offset:].view(np.int64), np.asarray(values, dtype=np.float64).view(np.int64)
-        ):
-            return text, offset
-    return values, 0
-
-
-def _write_columns(
-    path: str, header: Sequence[str], columns: Sequence[object], offset: int = 0
-) -> None:
-    """CSV of equal-length columns, written in blocks of _BLOCK_ROWS rows.
-
-    A column is a 1-D array (see _texts) or a ColumnText whose values hold
-    ``offset`` rows before this file's first row.  Blocks are aligned on the
-    ColumnText's blocks, so the first one can be short."""
-    first = columns[0]
-    n = len(first.values) - offset if isinstance(first, ColumnText) else len(first)
+def _write_columns(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """CSV of equal-length 1-D columns (see _texts), written in blocks of
+    _BLOCK_ROWS rows."""
     with _open_text(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(-(offset % _BLOCK_ROWS), n, _BLOCK_ROWS):
-            a, b = max(lo, 0), min(lo + _BLOCK_ROWS, n)
-            j = (lo + offset) // _BLOCK_ROWS
-            cells = [
-                c.blocks[j].split("\n")[a - lo:] if isinstance(c, ColumnText) else _texts(c[a:b])
-                for c in columns
-            ]
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            cells = [_texts(c[lo:lo + _BLOCK_ROWS]) for c in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def write_trajectory_csv(traj: Trajectory, path: str) -> ColumnText:
-    """Write trajectory.csv; returns the text of ``traj.t`` for the energy and
-    z writers."""
-    d = range(traj.dim)
+class Records(NamedTuple):
+    """The arrays of records.npz: a Trajectory's recorded samples, which
+    write_trajectory_csv, lyapunov.energy_along and rates.z_sequence take in
+    place of the Trajectory."""
+
+    n: np.ndarray    # int64, (N,)
+    t: np.ndarray    # float64, (N,)
+    x: np.ndarray    # float64, (N, dim)
+    v: np.ndarray    # float64, (N, dim)
+    gap: np.ndarray  # float64, (N,)
+
+
+def write_trajectory_csv(traj: Union[Trajectory, Records], path: str) -> None:
+    d = range(traj.x.shape[1])
     header = ["n", "t", *(f"x_{i}" for i in d), *(f"v_{i}" for i in d), "gap"]
-    t_text = _column_text(traj.t)
-    _write_columns(path, header, [traj.n, t_text, *traj.x.T, *traj.v.T, traj.gap])
-    return t_text
+    _write_columns(path, header, [traj.n, traj.t, *traj.x.T, *traj.v.T, traj.gap])
 
 
-def write_energy_csv(table: EnergyTable, path: str, t_text: Optional[ColumnText] = None) -> None:
-    """Write energy.csv; its t column reuses ``t_text`` when it is a suffix of it."""
-    t, offset = _suffix_of(t_text, table.t)
-    _write_columns(
-        path, "t,a,b,c,E,H".split(","),
-        [t, table.a, table.b, table.c, table.E, table.H], offset,
-    )
+def write_energy_csv(table: EnergyTable, path: str) -> None:
+    _write_columns(path, "t,a,b,c,E,H".split(","),
+                   [table.t, table.a, table.b, table.c, table.E, table.H])
 
 
-def write_z_csv(zs: ZSeries, path: str, t_text: Optional[ColumnText] = None) -> None:
-    """Write z.csv; its t column reuses ``t_text`` when it is a suffix of it."""
-    t, offset = _suffix_of(t_text, zs.t)
-    _write_columns(path, ["t", "z"], [t, zs.z], offset)
+def write_z_csv(zs: ZSeries, path: str) -> None:
+    _write_columns(path, ["t", "z"], [zs.t, zs.z])
+
+
+def write_records(traj: Trajectory, path: str) -> None:
+    """Write records.npz: the Records arrays of ``traj``, uncompressed."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    np.savez(path, allow_pickle=False, **{k: getattr(traj, k) for k in Records._fields})
+
+
+def read_cell(celldir: str) -> Tuple[Records, str, RateRegime]:
+    """The records.npz of a cell directory, and the objective and rate regime
+    of its verdict.json; ValueError when either does not load."""
+    import zipfile  # numpy has loaded it: np.load raises its BadZipFile
+
+    try:
+        with np.load(os.path.join(celldir, "records.npz"), allow_pickle=False) as npz:
+            records = Records(*(npz[k] for k in Records._fields))
+        with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
+            verdict = json.load(fh)
+        return records, verdict["objective"], theoretical_rate(verdict["alpha"], verdict["gamma"])
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load cell {celldir}: {type(exc).__name__}: {exc}") from None
 
 
 # The RateVerdict fields verdict.json carries; null when a cell is not assessed.
@@ -139,8 +124,7 @@ def verdict_to_dict(objective: str, regime: RateRegime, verdict: Optional[RateVe
         "gamma": regime.gamma,
         "branch": regime.branch,
         "theoretical": regime.exponent,
-        "upper_bound": "proven" if regime.upper_bound_proven else "unproven",
-        "lower_bound": "proven" if regime.lower_bound_proven else "unproven",
+        **regime.bounds(),
         **{k: None if verdict is None else getattr(verdict, k) for k in ASSESSED},
         "passed": verdict is not None and verdict.passed,
     }

@@ -105,7 +105,8 @@ class EnergyTable:
 
 
 def energy_along(traj: Trajectory, params: LyapunovParams, x_star=None) -> EnergyTable:
-    """Evaluate a, b, c, E, H at every record with t > 0.
+    """Evaluate a, b, c, E, H at every record with t > 0 of ``traj`` (or of
+    its io.Records).
 
     Gaps are clamped at 0 so a stays nonnegative under rounding.  A record
     whose state overflowed has inf terms, and E and H are nan there when
@@ -119,9 +120,9 @@ def energy_along(traj: Trajectory, params: LyapunovParams, x_star=None) -> Energ
     v = traj.v[keep]
     gap = np.maximum(traj.gap[keep], 0.0)
     if x_star is None:
-        xs = np.zeros(traj.dim)
+        xs = np.zeros(x.shape[1])
     else:
-        xs = np.asarray(x_star, dtype=float).reshape(traj.dim)
+        xs = np.asarray(x_star, dtype=float).reshape(x.shape[1])
     d = x - xs
     lam, xi, p = params.lam, params.xi, params.p
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,6 +36,11 @@ class RateRegime:
     upper_bound_proven: bool
     lower_bound_proven: bool
 
+    def bounds(self) -> dict:
+        """The upper_bound and lower_bound markers, "proven" or "unproven"."""
+        return {f"{side}_bound": "proven" if proven else "unproven" for side, proven
+                in (("upper", self.upper_bound_proven), ("lower", self.lower_bound_proven))}
+
 
 def theoretical_rate(alpha: float, gamma: float) -> RateRegime:
     """Piecewise decay exponent for F(x(t)) - F*.

@@ -341,7 +341,7 @@ def test_criterion_8_infrastructure(tmp_path):
     run_cell(cfg, str(tmp_path / "b"))
     identical = all(
         (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
-        for f in ("trajectory.csv", "energy.csv", "z.csv", "verdict.json")
+        for f in ("records.npz", "verdict.json")
     )
 
     ok = prox_ok and grad_ok and order_ok and consistency_ok and identical

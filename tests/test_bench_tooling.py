@@ -51,10 +51,13 @@ def test_tracer_installs_and_restores(tracing, tmp_path):
     tracer.install()
     try:
         inertial_rates.gridrun.run_cell(cfg, str(tmp_path))
+        cell = {sp.name for sp in tracer.take()}
+        inertial_rates.gridrun.export(str(tmp_path))
+        exported = {sp.name for sp in tracer.take()}
     finally:
         tracer.uninstall()
-    names = {sp.name for sp in tracer.take()}
-    assert {"run", "write_trajectory_csv", "write_energy_csv", "write_z_csv"} <= names
+    assert {"run_cell", "run", "verify_rate", "write_json"} <= cell
+    assert {"write_trajectory_csv", "write_energy_csv", "write_z_csv"} <= exported
     assert all(getattr(m, a) is f for (m, a), f in originals.items())
 
 

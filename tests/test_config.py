@@ -3,7 +3,10 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inertial_rates import config, gridrun
 from inertial_rates.cli import build_parser, main
@@ -204,6 +207,82 @@ def test_scheme_modes_reject_a_nonzero_v0(tmp_path, mode):
     path.write_text(json.dumps(grid))
     assert main(["grid", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+# a sharp scheme run whose records reach scheme_fit_cap(1e-4) = 5; stride 100
+# puts records 1 apart, 5 of them in the fitted decade [0.5, 5]
+STARVED = {"objective": "power:gamma=2,dim=1", "alpha": 3, "h": 1e-4, "steps": 100_000,
+           "stride": 100, "x0": [0.5]}
+
+
+def test_a_stride_that_starves_the_fit_window_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"stride 100 leaves 5 record\(s\) in \[0.5, 5\]"):
+        parse_config(json.dumps(STARVED))
+    for objective in ("plateau:gamma=2,a=1", "power:gamma=1.5,dim=1"):
+        with pytest.raises(ConfigError, match="lower stride"):
+            parse_config(json.dumps({**STARVED, "objective": objective}))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**STARVED, "outdir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(path)]) == 2
+    grid = {"grid": {"pairs": [[3, 2]]}, "run": {k: STARVED[k] for k in ("h", "steps", "stride")}}
+    path.write_text(json.dumps(grid))
+    assert main(["grid", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    parse_config(json.dumps({**STARVED, "stride": 50}))  # 10 records: 0.5, 1, ..., 5
+
+
+@pytest.mark.parametrize("change", [
+    {"objective": "power:gamma=3,dim=1"},       # flat: verify_rate fits the relative window
+    {"mode": "ode-rk4", "dt": 1e-2, "t0": 1.0},  # RK4: no cap
+    {"steps": 400},                              # ends before the cap
+    {"steps": 4_000},                            # past the cap, but its z tail spans < 1 decade
+    {"h": 0.05, "steps": 3_000, "stride": 7},    # no stride puts 10 step times below the cap
+])
+def test_the_fit_window_rule_leaves_other_runs_alone(change):
+    """Only a stride that starves the window verify_rate fits is rejected:
+    runs it fits elsewhere, or cannot assess for other reasons, pass."""
+    parse_config(json.dumps({**STARVED, **change}))
+
+
+def test_a_starved_run_is_what_verify_rate_cannot_fit(tmp_path):
+    """The rejected run, built past the config, gets the fit_series
+    verdict_error; stride 50 gets assessed."""
+    starved = ExperimentConfig(**{**STARVED, "mode": "nesterov", "x0": (0.5,)})
+    res = gridrun.run_cell(starved, str(tmp_path / "starved"))
+    assert res.verdict["verdict_error"].startswith("fit_series needs >= 10")
+    res = gridrun.run_cell(config_from_dict({**STARVED, "stride": 50}), str(tmp_path / "ok"))
+    assert "verdict_error" not in res.verdict and res.verdict["fitted"] is not None
+
+
+def _starved_by_stride(h, steps, stride):
+    """The rule, recomputed from every record time of the run."""
+    sqrt_h, cap = math.sqrt(h), 0.05 / math.sqrt(h)
+
+    def times(stride):
+        return np.unique(np.append(np.arange(0, steps + 1, stride), steps)) * sqrt_h
+
+    def in_window(t):
+        return int(np.sum((t >= cap / 10.0) & (t <= cap)))
+
+    t = times(stride)[1:]
+    l0, l1 = math.log10(t[0]), math.log10(t[-1])
+    return (cap < t[-1] and l1 - 0.5 * (l0 + l1) >= 1.0
+            and in_window(t) < 10 <= in_window(times(1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_h=st.floats(-9.0, -1.0), steps=st.integers(1, 300_000), stride=st.integers(1, 3_000))
+def test_the_fit_window_rule_counts_every_record_time(log_h, steps, stride):
+    h = 10.0 ** log_h
+    raw = {"objective": "power:gamma=2,dim=1", "alpha": 3, "h": h, "steps": steps,
+           "stride": stride}
+    try:
+        config_from_dict(raw)
+        rejected = False
+    except ConfigError as exc:
+        assert "lower stride" in str(exc)
+        rejected = True
+    assert rejected == _starved_by_stride(h, steps, stride)
 
 
 def test_steps_must_be_integral():

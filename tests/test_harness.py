@@ -31,6 +31,15 @@ def _read(path):
         return fh.read()
 
 
+CSVS = ("trajectory.csv", "energy.csv", "z.csv")
+
+
+def _exported(celldir):
+    """``celldir`` after export has written its CSV files."""
+    assert gridrun.export(str(celldir)) == [str(celldir)]
+    return celldir
+
+
 # ---------------------------------------------------------------------------
 # single cells and grids
 # ---------------------------------------------------------------------------
@@ -39,12 +48,14 @@ def test_run_cell_writes_all_outputs(tmp_path):
     cfg = config_from_dict(SMALL_RUN)
     res = run_cell(cfg, str(tmp_path))
     assert res.error is None
-    for name in ("trajectory.csv", "energy.csv", "z.csv", "verdict.json"):
-        assert (tmp_path / name).exists()
+    assert sorted(os.listdir(tmp_path)) == ["records.npz", "verdict.json"]
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["branch"] == "sharp-subcritical"
     assert verdict["theoretical"] == pytest.approx(6.0)
     assert verdict["upper_bound"] == "proven"
+    _exported(tmp_path)
+    for name in CSVS:
+        assert (tmp_path / name).exists()
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
     assert header == "n,t,x_0,v_0,gap"
     assert (tmp_path / "energy.csv").read_text().splitlines()[0] == "t,a,b,c,E,H"
@@ -54,7 +65,11 @@ def test_run_cell_byte_identical_reruns(tmp_path):
     cfg = config_from_dict(SMALL_RUN)
     run_cell(cfg, str(tmp_path / "a"))
     run_cell(cfg, str(tmp_path / "b"))
-    for name in ("trajectory.csv", "energy.csv", "z.csv", "verdict.json"):
+    for name in ("records.npz", "verdict.json"):
+        assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
+    _exported(tmp_path / "a")
+    _exported(tmp_path / "b")
+    for name in CSVS:
         assert _read(tmp_path / "a" / name) == _read(tmp_path / "b" / name)
 
 
@@ -89,7 +104,7 @@ def test_run_cell_short_ode_run_reports_unassessed_verdict(tmp_path):
     assert res.error is None
     assert res.verdict["verdict_error"]
     assert res.verdict["passed"] is False
-    assert (tmp_path / "trajectory.csv").exists()
+    assert (_exported(tmp_path) / "trajectory.csv").exists()
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["fitted"] is None
 
@@ -110,7 +125,7 @@ def test_run_cell_reports_divergence_in_verdict(tmp_path, objective, h, x0):
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert verdict["trajectory_error"] == res.error
     assert verdict["passed"] is False
-    assert (tmp_path / "trajectory.csv").exists()
+    assert (_exported(tmp_path) / "trajectory.csv").exists()
 
 
 def test_verdict_json_has_one_key_set_and_always_the_regime(tmp_path):
@@ -151,10 +166,10 @@ def test_run_cell_runs_an_lsq_file_with_one_unknown(tmp_path, mode):
     path = tmp_path / "one.csv"
     path.write_text("2,4\n1,1.5\n")
     cfg = config_from_dict({"objective": f"lsq:file={path}", "alpha": 3.0, "mode": mode,
-                            "h": 1e-3, "dt": 1e-3, "t0": 0.5, "steps": 20_000, "stride": 10})
+                            "h": 1e-3, "dt": 1e-3, "t0": 0.5, "steps": 20_000, "stride": 4})
     res = run_cell(cfg, str(tmp_path / "cell"))
     assert res.error is None and res.verdict is not None
-    assert (tmp_path / "cell" / "energy.csv").exists()
+    assert (_exported(tmp_path / "cell") / "energy.csv").exists()
 
 
 @pytest.mark.parametrize("run, branch, family", [
@@ -164,11 +179,12 @@ def test_run_cell_runs_an_lsq_file_with_one_unknown(tmp_path, mode):
     (dict(SMALL_RUN, objective="power:gamma=3,dim=1", alpha=8.0), "flat-saturated", "flat"),
 ])
 def test_run_cell_energy_uses_the_family_of_the_rate_branch(tmp_path, run, branch, family):
-    """energy.csv is the energy of the Lyapunov family of the rate branch
-    verdict.json tests: flat on the saturated branch only."""
+    """The exported energy.csv is the energy of the Lyapunov family of the
+    rate branch verdict.json tests: flat on the saturated branch only."""
     cfg = config_from_dict(run)
     res = run_cell(cfg, str(tmp_path / "cell"))
     assert res.error is None and res.verdict["branch"] == branch
+    _exported(tmp_path / "cell")
     obj = cfg.build_objective()
     traj = dynamics.run(cfg, obj)
     gamma = obj.nominal_gamma
@@ -187,7 +203,7 @@ def test_run_cell_writes_no_nan_z_when_a_gap_overflows(tmp_path, recwarn):
     res = run_cell(cfg, str(tmp_path))
     assert res.error.startswith("non-finite state at step")
     assert "a gap overflowed" in res.verdict["verdict_error"]
-    z = (tmp_path / "z.csv").read_text().splitlines()
+    z = (_exported(tmp_path) / "z.csv").read_text().splitlines()
     assert "nan" not in "".join(z) and z[-1].endswith(",inf")
     assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)
                 and w.filename.endswith(os.path.join("inertial_rates", "rates.py"))]
@@ -202,7 +218,7 @@ def test_run_cell_energy_of_an_overflowed_record_does_not_warn(tmp_path, recwarn
                             "stride": 1})
     res = run_cell(cfg, str(tmp_path))
     assert res.error.startswith("non-finite state at step")
-    rows = (tmp_path / "energy.csv").read_text().splitlines()[1:]
+    rows = (_exported(tmp_path) / "energy.csv").read_text().splitlines()[1:]
     *finite, last = [[float(v) for v in row.split(",")] for row in rows]
     assert finite and np.all(np.isfinite(finite))
     assert np.array_equal(last[1:], [math.inf, math.inf, math.inf, math.nan, math.nan],
@@ -241,7 +257,7 @@ def test_grid_parallel_workers_match_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("INERTIAL_RATES_WORKERS", "1")
     run_grid(grid, str(tmp_path / "ser"))
     for label in ("alpha=6_gamma=2", "alpha=3_gamma=2"):
-        for name in ("trajectory.csv", "verdict.json"):
+        for name in ("records.npz", "verdict.json"):
             assert _read(tmp_path / "par" / label / name) == _read(
                 tmp_path / "ser" / label / name
             )
@@ -329,6 +345,91 @@ def test_worker_count_env_override(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# export
+# ---------------------------------------------------------------------------
+
+EXPORT_CELLS = {
+    "scheme-1d": SMALL_RUN,
+    "rk4-3d": {"objective": "power:gamma=3,dim=3", "alpha": 3.0, "mode": "ode-rk4",
+               "dt": 1e-2, "t0": 0.1, "steps": 2_000, "stride": 9,
+               "x0": [0.5, -0.2, 0.1], "v0": [0.1, 0.0, -0.1]},
+    # reaches x = 0 exactly near record 200: the rest are filled without stepping
+    "prox-freezes": {"objective": "power:gamma=1.5,dim=1", "alpha": 3.0,
+                     "mode": "prox-nesterov", "h": 1e-4, "steps": 50_000, "stride": 10,
+                     "x0": [0.5]},
+    "diverges-at-step-1": {"objective": "power:gamma=4,dim=1", "alpha": 3.0, "h": 1.0,
+                           "steps": 1000, "stride": 100, "x0": [1e103]},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(EXPORT_CELLS))
+def test_export_writes_what_the_writers_make_of_the_run(tmp_path, name):
+    """export's files equal, byte for byte, the CSV writers applied to the
+    in-memory run and to its energy (select_params' family, centred on
+    reference_point(obj, x0)) and z (at the regime exponent); a run with one
+    record gets trajectory.csv only.  records.npz keeps its bytes on a rerun."""
+    cfg = config_from_dict(EXPORT_CELLS[name])
+    run_cell(cfg, str(tmp_path / "cell"))
+    run_cell(cfg, str(tmp_path / "again"))
+    assert _read(tmp_path / "cell" / "records.npz") == _read(tmp_path / "again" / "records.npz")
+    _exported(tmp_path / "cell")
+
+    obj = cfg.build_objective()
+    traj = dynamics.run(cfg, obj)
+    want = tmp_path / "want"
+    io.write_trajectory_csv(traj, str(want / "trajectory.csv"))
+    if len(traj) > 1:
+        regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
+        params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma)
+        x_star = objectives.reference_point(obj, cfg.x0)
+        io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star),
+                            str(want / "energy.csv"))
+        io.write_z_csv(rates.z_sequence(traj, regime.exponent), str(want / "z.csv"))
+    written = sorted(f for f in os.listdir(tmp_path / "cell") if f.endswith(".csv"))
+    assert written == sorted(os.listdir(want)) == (list(CSVS[:1]) if len(traj) == 1
+                                                   else sorted(CSVS))
+    for f in written:
+        assert _read(tmp_path / "cell" / f) == _read(want / f), f
+    if name == "prox-freezes":
+        assert traj.x[-1, 0] == 0.0 and np.all(traj.x[300:] == 0.0)
+
+
+def test_export_of_a_grid_writes_every_cell_and_keeps_the_grid_files(tmp_path, capsys):
+    doc = json.dumps({"grid": {"pairs": [[6, 2], [3, 2]]},
+                      "run": {"steps": 20_000, "h": 1e-4, "stride": 10}})
+    run_grid(parse_config(doc), str(tmp_path))
+    grid_files = {f: _read(tmp_path / f) for f in ("summary.csv", "summary.txt", "z_overlay.svg")}
+    assert main(["export", str(tmp_path)]) == 0
+    labels = ["alpha=3_gamma=2", "alpha=6_gamma=2"]
+    assert capsys.readouterr().out.split() == [w for lab in labels
+                                               for w in ("exported", str(tmp_path / lab))]
+    for label in labels:
+        assert sorted(os.listdir(tmp_path / label)) == sorted(
+            [*CSVS, "records.npz", "verdict.json"])
+    assert {f: _read(tmp_path / f) for f in grid_files} == grid_files
+
+
+def test_export_exits_2_without_records_or_on_a_file_that_does_not_load(tmp_path, capsys):
+    assert main(["export", str(tmp_path)]) == 2
+    assert main(["export", str(tmp_path / "missing")]) == 2
+    cell = tmp_path / "cell"
+    run_cell(config_from_dict(SMALL_RUN), str(cell))
+    good = _read(cell / "records.npz")
+    for name, text in (("records.npz", b"not an npz"), ("records.npz", good[:1000]),
+                       ("verdict.json", b"{"), ("verdict.json", b"{}"),
+                       ("verdict.json", b'{"objective": "x", "alpha": null, "gamma": 2}')):
+        saved = _read(cell / name)
+        (cell / name).write_bytes(text)
+        assert main(["export", str(cell)]) == 2
+        (cell / name).write_bytes(saved)
+    (cell / "verdict.json").unlink()
+    assert main(["export", str(tmp_path)]) == 2
+    assert "cannot load cell" in capsys.readouterr().err
+    assert not list(cell.glob("*.csv"))
+
+
+# ---------------------------------------------------------------------------
 # csv
 # ---------------------------------------------------------------------------
 
@@ -400,83 +501,6 @@ def test_write_columns_matches_per_cell_format(tmp_path_factory, rows, palette, 
     _assert_same_lines(path.read_text(), _plain_csv(header, columns))
 
 
-def _marked(values):
-    """A ColumnText whose cells name their row, to see which rows a writer
-    takes from it."""
-    marks = [f"row{i}" for i in range(len(values))]
-    blocks = range(0, len(values), io._BLOCK_ROWS)
-    return io.ColumnText(values, ["\n".join(marks[lo:lo + io._BLOCK_ROWS]) for lo in blocks])
-
-
-@pytest.mark.parametrize("rows", [1, io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1,
-                                  2 * io._BLOCK_ROWS + 1])
-@pytest.mark.parametrize("offset", [0, 1, io._BLOCK_ROWS + 2])
-def test_z_writer_reuses_the_t_text_at_its_offset(tmp_path, rows, offset):
-    """offset 1 is a scheme run (its t = 0 record is dropped), offset 0 an
-    ODE run; a suffix that starts past the first block works too."""
-    t = np.arange(rows + offset) * 0.1 + (0.0 if offset else 0.5)
-    zs = ZSeries(t[offset:].copy(), np.full(rows, 0.25), 1.0, 1.0)
-    io.write_z_csv(zs, str(tmp_path / "z.csv"), t_text=_marked(t))
-    want = ["t,z"] + [f"row{i + offset},0.25" for i in range(rows)] + [""]
-    _assert_same_lines((tmp_path / "z.csv").read_text(), "\n".join(want))
-
-
-@pytest.mark.parametrize("change", ["one bit", "longer", "-0.0", "empty"])
-def test_writers_format_t_when_it_is_not_a_suffix(tmp_path, change):
-    t = np.arange(io._BLOCK_ROWS + 2) * 0.1
-    own = t[1:].copy()
-    if change == "one bit":
-        own[-7] = np.nextafter(own[-7], np.inf)
-    elif change == "longer":
-        own = np.concatenate([[0.05], t])
-    elif change == "-0.0":
-        t[0], own = 0.0, np.concatenate([[-0.0], t[1:]])
-    else:
-        own = t[:0]
-    zs = ZSeries(own, np.zeros(len(own)), 1.0, 1.0)
-    io.write_z_csv(zs, str(tmp_path / "z.csv"), t_text=_marked(t))
-    _assert_same_lines((tmp_path / "z.csv").read_text(), _plain_csv(["t", "z"], [zs.t, zs.z]))
-
-
-@pytest.mark.parametrize("run, offset", [
-    (dict(SMALL_RUN, mode="prox-nesterov", objective="power:gamma=1.5,dim=1", steps=50_000,
-          stride=7), 1),
-    (dict(SMALL_RUN, mode="ode-rk4", objective="power:gamma=3,dim=2", x0=[0.5, -0.2],
-          steps=5_000, dt=1e-2, stride=9), 0),
-])
-def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, monkeypatch, run, offset):
-    """run_cell hands the trajectory's t text to the energy and z writers
-    (a scheme run at offset 1, an ODE run at offset 0); every file equals the
-    one its writer makes alone, formatting its own t."""
-    shared = []
-    suffix_of = io._suffix_of
-
-    def spy(text, values):
-        col, off = suffix_of(text, values)
-        shared.append((isinstance(col, io.ColumnText), off))
-        return col, off
-
-    monkeypatch.setattr(io, "_suffix_of", spy)
-    cfg = config_from_dict(run)
-    res = run_cell(cfg, str(tmp_path / "cell"))
-    assert res.error is None
-    assert shared == [(True, offset), (True, offset)]
-
-    obj = cfg.build_objective()
-    traj = dynamics.run(cfg, obj)
-    regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
-    rate = regime.exponent
-    family = "flat" if regime.branch == rates.BRANCH_SATURATED else "sharp"
-    params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma, family)
-    x_star = objectives.reference_point(obj, cfg.x0)
-    io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
-    io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star),
-                        str(tmp_path / "energy.csv"))
-    io.write_z_csv(rates.z_sequence(traj, rate), str(tmp_path / "z.csv"))
-    for name in ("trajectory.csv", "energy.csv", "z.csv"):
-        assert _read(tmp_path / name) == _read(tmp_path / "cell" / name)
-
-
 # ---------------------------------------------------------------------------
 # svg
 # ---------------------------------------------------------------------------
@@ -517,6 +541,23 @@ def test_cli_rate_prints_branch(capsys):
     assert main(["rate", "--alpha", "8", "--gamma", "3"]) == 0
     out = capsys.readouterr().out
     assert "flat-saturated" in out and "6" in out
+
+
+@pytest.mark.parametrize("alpha, gamma, upper, lower", [
+    (6.0, 2.0, "proven", "proven"),      # sharp-subcritical, gamma <= 2
+    (1.5, 3.0, "proven", "unproven"),    # sharp-subcritical, alpha <= 1 + 2/gamma
+    (3.0, 3.0, "unproven", "proven"),    # flat-intermediate
+    (8.0, 3.0, "proven", "proven"),      # flat-saturated
+])
+def test_rate_command_and_verdict_json_print_the_regime_bounds(capsys, alpha, gamma,
+                                                              upper, lower):
+    regime = rates.theoretical_rate(alpha, gamma)
+    assert regime.bounds() == {"upper_bound": upper, "lower_bound": lower}
+    assert main(["rate", "--alpha", str(alpha), "--gamma", str(gamma)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [f"upper bound {upper}",
+                                                         f"lower bound {lower}"]
+    verdict = io.verdict_to_dict("power:gamma=3,dim=1", regime, None)
+    assert (verdict["upper_bound"], verdict["lower_bound"]) == (upper, lower)
 
 
 def test_cli_probe_exit_codes(capsys):
@@ -579,6 +620,8 @@ def test_cli_run_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({**SMALL_RUN, "outdir": str(tmp_path / "out")}))
     assert main(["run", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / "records.npz").exists()
+    assert main(["export", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "z.csv").exists()
 
 

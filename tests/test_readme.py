@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 from inertial_rates.config import config_from_dict
-from inertial_rates.gridrun import run_cell
+from inertial_rates.gridrun import export, run_cell
 from inertial_rates.objectives import parse_objective
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -34,13 +34,14 @@ def test_readme_library_sketch_prints_its_claims():
 
 def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
     """The column lists under "Outputs per run" are the headers of energy.csv
-    and z.csv as run_cell writes them."""
+    and z.csv as export writes them from run_cell's records."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Outputs per run"):text.index("### Exponent fits")]
     documented = dict(re.findall(r"^- `(\w+\.csv)` — `([^`]*)`", section, re.M))
     cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6.0,
                             "steps": 2000, "h": 1e-4, "stride": 10})
     assert run_cell(cfg, str(tmp_path)).error is None
+    export(str(tmp_path))
     for name in ("energy.csv", "z.csv"):
         header = (tmp_path / name).read_text().splitlines()[0]
         assert documented[name] == header, name
