@@ -501,6 +501,61 @@ def test_write_columns_matches_per_cell_format(tmp_path_factory, rows, palette, 
     _assert_same_lines(path.read_text(), _plain_csv(header, columns))
 
 
+@pytest.mark.parametrize("change", ["one bit", "longer", "-0.0", "empty"])
+def test_writers_format_t_when_it_is_not_a_suffix(tmp_path, change):
+    """The z writer formats its own t, also where it is not the tail of a
+    trajectory's t: one bit off, a record more, -0.0 for 0.0, or no rows."""
+    t = np.arange(io._BLOCK_ROWS + 2) * 0.1
+    own = t[1:].copy()
+    if change == "one bit":
+        own[-7] = np.nextafter(own[-7], np.inf)
+    elif change == "longer":
+        own = np.concatenate([[0.05], t])
+    elif change == "-0.0":
+        own = np.concatenate([[-0.0], t[1:]])
+    else:
+        own = t[:0]
+    zs = ZSeries(own, np.zeros(len(own)), 1.0, 1.0)
+    io.write_z_csv(zs, str(tmp_path / "z.csv"))
+    _assert_same_lines((tmp_path / "z.csv").read_text(), _plain_csv(["t", "z"], [zs.t, zs.z]))
+
+
+@pytest.mark.parametrize("run, offset", [
+    (dict(SMALL_RUN, mode="prox-nesterov", objective="power:gamma=1.5,dim=1", steps=50_000,
+          stride=7), 1),
+    (dict(SMALL_RUN, mode="ode-rk4", objective="power:gamma=3,dim=2", x0=[0.5, -0.2],
+          steps=5_000, dt=1e-2, stride=9), 0),
+])
+def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, run, offset):
+    """records.npz holds the run's one t column; the exported z.csv takes its
+    t text from it at the run's offset (a scheme run drops its t = 0 record:
+    offset 1, an ODE run: offset 0), and every exported file equals the one
+    its writer makes of the in-memory run."""
+    cfg = config_from_dict(run)
+    res = run_cell(cfg, str(tmp_path / "cell"))
+    assert res.error is None
+    cell = _exported(tmp_path / "cell")
+
+    obj = cfg.build_objective()
+    traj = dynamics.run(cfg, obj)
+    with np.load(cell / "records.npz", allow_pickle=False) as npz:
+        assert sorted(npz.files) == sorted(io.Records._fields)
+        assert np.array_equal(npz["t"], traj.t)
+    traj_t = [row.split(",")[1] for row in (cell / "trajectory.csv").read_text().splitlines()[1:]]
+    z_t = [row.split(",")[0] for row in (cell / "z.csv").read_text().splitlines()[1:]]
+    assert z_t == traj_t[offset:]
+
+    regime = rates.theoretical_rate(cfg.alpha, obj.nominal_gamma)
+    params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma)
+    x_star = objectives.reference_point(obj, cfg.x0)
+    io.write_trajectory_csv(traj, str(tmp_path / "trajectory.csv"))
+    io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star),
+                        str(tmp_path / "energy.csv"))
+    io.write_z_csv(rates.z_sequence(traj, regime.exponent), str(tmp_path / "z.csv"))
+    for name in CSVS:
+        assert _read(tmp_path / name) == _read(cell / name)
+
+
 # ---------------------------------------------------------------------------
 # svg
 # ---------------------------------------------------------------------------
