@@ -74,17 +74,15 @@ def interval(times, x, v):
 class Trajectory:
     """Recorded (t, x, v, gap) samples of one run.
 
-    For scheme runs v is the divided difference (x_n - x_{n-1})/sqrt(h) and
-    t = n*sqrt(h) computed from the recorded index (no accumulated drift);
-    for integrator runs v is the state velocity and t = t0 + k*dt.
+    For scheme runs v is the divided difference (x_n - x_{n-1})/sqrt(h); for
+    integrator runs v is the state velocity.  t is record_times of the run
+    fields and n.
     """
 
     mode: str
-    objective_name: str
     alpha: float
     step: float              # h for schemes, dt for the integrator
     t0: float                # 0.0 for schemes
-    stride: int
     n: np.ndarray            # record indices, shape (N,)
     t: np.ndarray            # shape (N,)
     x: np.ndarray            # shape (N, dim)
@@ -102,6 +100,13 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.n)
+
+
+def record_times(mode: str, step: float, t0: float, n: np.ndarray) -> np.ndarray:
+    """The times of records ``n``: t0 + n*sqrt(h) for the scheme (t0 = 0)
+    and t0 + n*dt for the integrator, computed from the index (no
+    accumulated drift)."""
+    return t0 + n * (step if mode == "ode-rk4" else math.sqrt(step))
 
 
 def _ode_t0(t0: float, dt: float) -> float:
@@ -203,21 +208,20 @@ class _Recorder:
         self.bs.extend(repeat(b, count))
         self.gaps.extend(repeat(self.gap(x), count))
 
-    def trajectory(self, error, velocity, t_scale: float, **fields) -> Trajectory:
+    def trajectory(self, error, velocity, mode: str, alpha: float, step: float,
+                   t0: float) -> Trajectory:
         """The samples as a Trajectory with velocities ``velocity(x, b)``,
-        taken over all records at once, and times t0 + n*t_scale."""
+        taken over all records at once."""
         dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
         x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
         b = np.asarray(self.bs, dtype=float).reshape(len(n), dim)
-        return Trajectory(
-            objective_name=self.obj.name, n=n, t=fields["t0"] + n * t_scale, x=x,
-            v=velocity(x, b), gap=np.array(self.gaps, dtype=float), error=error, **fields,
-        )
+        return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n), x=x,
+                          v=velocity(x, b), gap=np.array(self.gaps, dtype=float), error=error)
 
 
 def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride: int,
-           velocity, t_scale: float, fixed_points: bool = False, **fields) -> Trajectory:
+           velocity, fixed_points: bool = False, **fields) -> Trajectory:
     """Step ``interval`` from ``state`` for ``steps`` steps and record every
     ``stride``-th state plus first and last.
 
@@ -284,7 +288,7 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
                 break
             if k % stride == 0 or k == steps:
                 rec.add(k, a, b)
-        return rec.trajectory(error, velocity, t_scale, stride=stride, **fields)
+        return rec.trajectory(error, velocity, **fields)
 
 
 def _start_point(caller: str, name: str, coords, dim: int):
@@ -333,7 +337,7 @@ def run_scheme(
     x = _start_point("run_scheme", "x0", x0, obj.dim)
     return _drive(
         obj, _interval_kernel(obj, h, use_prox), lambda ns: ns / (ns + alpha), (x, x),
-        steps, stride, lambda x, xp: (x - xp) / sqrt_h, sqrt_h, fixed_points=True,
+        steps, stride, lambda x, xp: (x - xp) / sqrt_h, fixed_points=True,
         mode="prox-nesterov" if use_prox else "nesterov", alpha=alpha, step=h, t0=0.0,
     )
 
@@ -369,7 +373,7 @@ def run_ode(
     v = _start_point("run_ode", "v0", np.zeros(obj.dim) if v0 is None else v0, obj.dim)
     return _drive(
         obj, _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), steps, stride,
-        lambda x, v: v, dt, mode="ode-rk4", alpha=alpha, step=dt, t0=t0,
+        lambda x, v: v, mode="ode-rk4", alpha=alpha, step=dt, t0=t0,
     )
 
 

@@ -76,14 +76,14 @@ def export_cell(celldir: str) -> None:
     z is taken at the regime exponent of verdict.json's (alpha, gamma); the
     energy uses select_params' default Lyapunov family for that regime,
     centred on reference_point(obj, x0)."""
-    records, objective, regime = io.read_cell(celldir)
-    io.write_trajectory_csv(records, os.path.join(celldir, "trajectory.csv"))
-    if len(records.t) > 1:
+    traj, objective, regime = io.read_cell(celldir)
+    io.write_trajectory_csv(traj, os.path.join(celldir, "trajectory.csv"))
+    if len(traj) > 1:
         params = lyapunov.select_params(regime.alpha, regime.gamma)
-        x_star = reference_point(parse_objective(objective), records.x[0])
-        io.write_energy_csv(lyapunov.energy_along(records, params, x_star=x_star),
+        x_star = reference_point(parse_objective(objective), traj.x[0])
+        io.write_energy_csv(lyapunov.energy_along(traj, params, x_star=x_star),
                             os.path.join(celldir, "energy.csv"))
-        io.write_z_csv(rates.z_sequence(records, regime.exponent), os.path.join(celldir, "z.csv"))
+        io.write_z_csv(rates.z_sequence(traj, regime.exponent), os.path.join(celldir, "z.csv"))
 
 
 def export(path: str) -> list:

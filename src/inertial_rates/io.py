@@ -5,12 +5,13 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import MODES, Trajectory, record_times
 from .lyapunov import EnergyTable
 from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
 
@@ -63,19 +64,7 @@ def _write_columns(path: str, header: Sequence[str], columns: Sequence[np.ndarra
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-class Records(NamedTuple):
-    """The arrays of records.npz: a Trajectory's recorded samples, which
-    write_trajectory_csv, lyapunov.energy_along and rates.z_sequence take in
-    place of the Trajectory."""
-
-    n: np.ndarray    # int64, (N,)
-    t: np.ndarray    # float64, (N,)
-    x: np.ndarray    # float64, (N, dim)
-    v: np.ndarray    # float64, (N, dim)
-    gap: np.ndarray  # float64, (N,)
-
-
-def write_trajectory_csv(traj: Union[Trajectory, Records], path: str) -> None:
+def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     d = range(traj.x.shape[1])
     header = ["n", "t", *(f"x_{i}" for i in d), *(f"v_{i}" for i in d), "gap"]
     _write_columns(path, header, [traj.n, traj.t, *traj.x.T, *traj.v.T, traj.gap])
@@ -90,23 +79,53 @@ def write_z_csv(zs: ZSeries, path: str) -> None:
     _write_columns(path, ["t", "z"], [zs.t, zs.z])
 
 
+# The members of records.npz, each with its dtype (its kind alone for text)
+# and its shape in the record count N and the dimension D: the Trajectory's
+# arrays but t, which read_cell rebuilds from n, and its run fields, with ""
+# for no error.
+_MEMBERS = {"n": ("i8", "N"), "x": ("f8", "ND"), "v": ("f8", "ND"), "gap": ("f8", "N"),
+            "mode": ("U", ""), "alpha": ("f8", ""), "step": ("f8", ""), "t0": ("f8", ""),
+            "error": ("U", "")}
+
+
 def write_records(traj: Trajectory, path: str) -> None:
-    """Write records.npz: the Records arrays of ``traj``, uncompressed."""
+    """Write records.npz: the _MEMBERS of ``traj``, uncompressed."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savez(path, allow_pickle=False, **{k: getattr(traj, k) for k in Records._fields})
+    np.savez(path, **{**{k: getattr(traj, k) for k in _MEMBERS}, "error": traj.error or ""})
 
 
-def read_cell(celldir: str) -> Tuple[Records, str, RateRegime]:
-    """The records.npz of a cell directory, and the objective and rate regime
-    of its verdict.json; ValueError when either does not load."""
+def _trajectory(npz) -> Trajectory:
+    """The Trajectory of the records.npz members ``npz``; ValueError when a
+    member has the wrong dtype or shape, or a run field a value no run has."""
+    m = {k: npz[k] for k in _MEMBERS}
+    N = len(m["n"]) if m["n"].ndim == 1 and m["n"].size else -1  # -1: no shape matches
+    D = m["x"].shape[1] if m["x"].ndim == 2 and m["x"].shape[1] else -1
+    shapes = {"": (), "N": (N,), "ND": (N, D)}
+    for k, (dtype, shape) in _MEMBERS.items():
+        if not m[k].dtype.str[1:].startswith(dtype) or m[k].shape != shapes[shape]:
+            raise ValueError(f"member {k} is {m[k].dtype} of shape {m[k].shape}, not "
+                             f"{dtype} of shape ({', '.join(shape)}) with N, D >= 1")
+    mode, alpha, step, t0 = str(m["mode"]), float(m["alpha"]), float(m["step"]), float(m["t0"])
+    finite = all(map(math.isfinite, (alpha, step, t0)))
+    if mode not in MODES or not (finite and alpha > 0.0 and step > 0.0):
+        raise ValueError(f"run fields mode {mode!r}, alpha {alpha}, step {step}, t0 {t0}: "
+                         f"want a mode of {MODES}, finite alpha > 0, step > 0 and t0")
+    return Trajectory(mode, alpha, step, t0, n=m["n"], t=record_times(mode, step, t0, m["n"]),
+                      x=m["x"], v=m["v"], gap=m["gap"], error=str(m["error"]) or None)
+
+
+def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
+    """The Trajectory of a cell directory's records.npz, and the objective
+    and rate regime of its verdict.json; ValueError when either does not
+    load."""
     import zipfile  # numpy has loaded it: np.load raises its BadZipFile
 
     try:
         with np.load(os.path.join(celldir, "records.npz"), allow_pickle=False) as npz:
-            records = Records(*(npz[k] for k in Records._fields))
+            traj = _trajectory(npz)
         with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
             verdict = json.load(fh)
-        return records, verdict["objective"], theoretical_rate(verdict["alpha"], verdict["gamma"])
+        return traj, verdict["objective"], theoretical_rate(verdict["alpha"], verdict["gamma"])
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot load cell {celldir}: {type(exc).__name__}: {exc}") from None
 

@@ -105,8 +105,7 @@ class EnergyTable:
 
 
 def energy_along(traj: Trajectory, params: LyapunovParams, x_star=None) -> EnergyTable:
-    """Evaluate a, b, c, E, H at every record with t > 0 of ``traj`` (or of
-    its io.Records).
+    """Evaluate a, b, c, E, H at every record with t > 0 of ``traj``.
 
     Gaps are clamped at 0 so a stays nonnegative under rounding.  A record
     whose state overflowed has inf terms, and E and H are nan there when

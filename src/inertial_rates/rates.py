@@ -114,7 +114,8 @@ def fit_series(
     least 10 of them; a series with none is degenerate.  A sample sits on the
     envelope when nothing later exceeds it (suffix running maximum); the
     crest points in the window are reduced to the largest one in each of
-    ENVELOPE_BINS log-spaced bins, and log y is regressed on log t.
+    ENVELOPE_BINS log-spaced bins from the first to the last of them, and
+    log y is regressed on log t.
     """
     m = (t > 0.0) & (y > 0.0) & np.isfinite(y)
     t, y = t[m], y[m]
@@ -140,15 +141,12 @@ def fit_series(
             f"fit_series needs >= 2 envelope points in [{t_lo:g}, {t_hi:g}], got {len(tw)}"
         )
     edges = np.logspace(math.log10(tw[0]), math.log10(tw[-1]), ENVELOPE_BINS + 1)
-    edges[-1] = tw[-1]
-    pts_t, pts_y = [], []
-    for i in range(ENVELOPE_BINS):
-        sel = (tw >= edges[i]) & (tw <= edges[i + 1])
-        if sel.any():
-            j = int(np.argmax(yw[sel]))
-            pts_t.append(tw[sel][j])
-            pts_y.append(yw[sel][j])
-    pt, py = np.asarray(pts_t), np.asarray(pts_y)
+    edges[0], edges[-1] = tw[0], tw[-1]
+    # crest values are nonincreasing in t, so a bin's largest point is its
+    # first; bin i is [edges[i], edges[i+1]], empty when that point is past it
+    first = np.searchsorted(tw, edges[:-1])
+    first = first[np.append(tw, math.inf)[first] <= edges[1:]]
+    pt, py = tw[first], yw[first]
     slope, se, rmse = _line_fit(np.log(pt), np.log(py))
     return SeriesFit(-slope, se, (t_lo, t_hi), pt, py, rmse)
 

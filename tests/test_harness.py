@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -429,6 +430,95 @@ def test_export_exits_2_without_records_or_on_a_file_that_does_not_load(tmp_path
     assert not list(cell.glob("*.csv"))
 
 
+ROUND_TRIP_CELLS = {
+    **{k: EXPORT_CELLS[k] for k in ("scheme-1d", "prox-freezes", "diverges-at-step-1")},
+    "rk4-3d-clamped-t0": dict(EXPORT_CELLS["rk4-3d"], t0=1e-3),  # starts at dt = 1e-2
+    "diverges-mid-run": {"objective": "power:gamma=3,dim=1", "alpha": 3.0, "h": 10.0,
+                         "steps": 1000, "stride": 2, "x0": [5.0]},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", list(ROUND_TRIP_CELLS))
+def test_read_cell_gives_back_the_run(tmp_path, name):
+    """records.npz holds n, x, v, gap and the run fields, and read_cell
+    rebuilds the Trajectory of the run from it bit for bit, t included;
+    verify_rate on the loaded Trajectory writes the cell's verdict.json."""
+    cfg = config_from_dict(ROUND_TRIP_CELLS[name])
+    run_cell(cfg, str(tmp_path))
+    obj = cfg.build_objective()
+    traj = dynamics.run(cfg, obj)
+    with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
+        assert npz.files == ["n", "x", "v", "gap", "mode", "alpha", "step", "t0", "error"]
+    loaded, objective, regime = io.read_cell(str(tmp_path))
+    for field in dataclasses.fields(dynamics.Trajectory):
+        want, got = getattr(traj, field.name), getattr(loaded, field.name)
+        assert type(got) is type(want), field.name
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), field.name
+        else:
+            assert got == want, field.name
+    assert (objective, regime) == (cfg.objective, rates.theoretical_rate(cfg.alpha,
+                                                                         obj.nominal_gamma))
+    assert (traj.error is not None) == name.startswith("diverges")
+    if name.startswith("diverges"):
+        assert len(traj) == {"diverges-at-step-1": 1, "diverges-mid-run": 5}[name]
+    if name == "rk4-3d-clamped-t0":
+        assert traj.t0 == cfg.dt > cfg.t0
+
+    verdict, notes = None, {}
+    if len(loaded) > 1:
+        try:
+            verdict = rates.verify_rate(loaded, regime)
+        except ValueError as exc:
+            notes["verdict_error"] = str(exc)
+    if loaded.error:
+        notes["trajectory_error"] = loaded.error
+    io.write_json({**io.verdict_to_dict(objective, regime, verdict), **notes},
+                  str(tmp_path / "again.json"))
+    assert _read(tmp_path / "again.json") == _read(tmp_path / "verdict.json")
+    if not loaded.is_scheme:
+        params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma)
+        assert (lyapunov.check_Hprime_closed_form(loaded, params, x_star=np.zeros(3))
+                == lyapunov.check_Hprime_closed_form(traj, params, x_star=np.zeros(3)))
+
+
+def _malformed(npz):
+    """(name, members) pairs: the members of a good records.npz with one
+    changed to what no run writes."""
+    m = dict(npz)
+    yield from ((k, dict(m, **{k: v})) for k, v in (
+        ("x", m["x"].ravel()), ("x", m["x"][:-1]), ("v", np.repeat(m["v"], 2, axis=1)),
+        ("x", m["x"][:, :0]), ("gap", m["gap"][1:]), ("gap", m["gap"][:, None]),
+        ("n", m["n"].astype(float)), ("n", m["n"].astype(np.int32)), ("n", m["n"][:0]),
+        ("x", m["x"].astype(np.float32)), ("mode", "gradient"), ("mode", np.float64(1.0)),
+        ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan), ("alpha", "3"),
+        ("step", 0.0), ("step", -1e-4), ("step", math.inf), ("step", np.array([1e-4])),
+        ("t0", math.nan), ("t0", -math.inf), ("error", None), ("error", 0.0),
+    ))
+    yield from ((f"no {k}", {j: v for j, v in m.items() if j != k}) for k in m)
+
+
+def test_export_exits_2_on_a_malformed_records_file_and_writes_nothing(tmp_path, capsys):
+    """A records.npz member of the wrong dtype or shape, or a run field with
+    a value no run has (a mode not in MODES, alpha or step not finite and
+    positive, t0 not finite), is a ValueError of read_cell: export exits 2
+    and writes no CSV for the cell."""
+    cell = tmp_path / "cell"
+    run_cell(config_from_dict(SMALL_RUN), str(cell))
+    with np.load(cell / "records.npz", allow_pickle=False) as npz:
+        cases = list(_malformed(npz))
+    assert len(cases) == 33
+    for name, members in cases:
+        np.savez(cell / "records.npz", **members)
+        with pytest.raises(ValueError, match="cannot load cell"):
+            io.read_cell(str(cell))
+        assert main(["export", str(cell)]) == 2, name
+        assert "cannot load cell" in capsys.readouterr().err
+        assert not list(cell.glob("*.csv")), name
+
+
 # ---------------------------------------------------------------------------
 # csv
 # ---------------------------------------------------------------------------
@@ -527,10 +617,11 @@ def test_writers_format_t_when_it_is_not_a_suffix(tmp_path, change):
           steps=5_000, dt=1e-2, stride=9), 0),
 ])
 def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, run, offset):
-    """records.npz holds the run's one t column; the exported z.csv takes its
-    t text from it at the run's offset (a scheme run drops its t = 0 record:
-    offset 1, an ODE run: offset 0), and every exported file equals the one
-    its writer makes of the in-memory run."""
+    """read_cell rebuilds the run's t column bit for bit from records.npz,
+    which holds no t; the exported z.csv takes its t text at the run's
+    offset (a scheme run drops its t = 0 record: offset 1, an ODE run:
+    offset 0), and every exported file equals the one its writer makes of
+    the in-memory run."""
     cfg = config_from_dict(run)
     res = run_cell(cfg, str(tmp_path / "cell"))
     assert res.error is None
@@ -539,8 +630,8 @@ def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, run, offset):
     obj = cfg.build_objective()
     traj = dynamics.run(cfg, obj)
     with np.load(cell / "records.npz", allow_pickle=False) as npz:
-        assert sorted(npz.files) == sorted(io.Records._fields)
-        assert np.array_equal(npz["t"], traj.t)
+        assert "t" not in npz.files
+    assert io.read_cell(str(cell))[0].t.tobytes() == traj.t.tobytes()
     traj_t = [row.split(",")[1] for row in (cell / "trajectory.csv").read_text().splitlines()[1:]]
     z_t = [row.split(",")[0] for row in (cell / "z.csv").read_text().splitlines()[1:]]
     assert z_t == traj_t[offset:]

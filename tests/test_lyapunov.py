@@ -120,8 +120,8 @@ def test_rate_branches_agree_at_flat_boundary():
 def _synthetic_traj(t, x, v, gap, mode="ode-rk4"):
     n = np.arange(len(t))
     return Trajectory(
-        mode=mode, objective_name="synthetic", alpha=1.0, step=1.0,
-        t0=float(t[0]), stride=1, n=n, t=np.asarray(t, dtype=float),
+        mode=mode, alpha=1.0, step=1.0,
+        t0=float(t[0]), n=n, t=np.asarray(t, dtype=float),
         x=np.asarray(x, dtype=float).reshape(-1, 1),
         v=np.asarray(v, dtype=float).reshape(-1, 1),
         gap=np.asarray(gap, dtype=float),

@@ -9,6 +9,7 @@ from inertial_rates.rates import (
     BRANCH_INTERMEDIATE,
     BRANCH_SATURATED,
     BRANCH_SHARP,
+    ENVELOPE_BINS,
     fit_series,
     scheme_fit_cap,
     tail_model_residuals,
@@ -24,8 +25,8 @@ def _gap_traj(t, gap, mode="nesterov"):
     n = np.arange(len(t))
     zeros = np.zeros((len(t), 1))
     return Trajectory(
-        mode=mode, objective_name="synthetic", alpha=1.0, step=1e-4, t0=0.0,
-        stride=1, n=n, t=t, x=zeros, v=zeros, gap=gap,
+        mode=mode, alpha=1.0, step=1e-4, t0=0.0,
+        n=n, t=t, x=zeros, v=zeros, gap=gap,
     )
 
 
@@ -138,6 +139,35 @@ def test_fit_errors_with_too_few_records():
         fit_series(t, gap, (50.0, 52.0))
     with pytest.raises(ValueError, match="envelope points"):
         fit_series(t, t, (1.0, 10.0))  # rising: later samples exceed the window's
+
+
+def test_fit_keeps_the_first_crest_point_of_its_window():
+    """np.logspace can put the first bin edge past the first crest point
+    (10**log10(1.87) > 1.87); that point still starts the first bin."""
+    t0 = 1.87
+    assert np.logspace(math.log10(t0), 2.0, 3)[0] > t0
+    t = t0 * np.linspace(1.0, 50.0, 400)
+    fit = fit_series(t, t**-2.0, (t[0], t[-1]))
+    assert fit.t_points[0] == t0 and len(fit.t_points) == ENVELOPE_BINS
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fit_points_are_the_largest_crest_point_of_each_bin(seed):
+    """The envelope points are, bin by bin, the largest crest point in
+    [edges[i], edges[i+1]], log-spaced edges pinned to the first and last
+    crest points of the window; empty bins give none."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(1.0, 1e3, 3000))
+    y = t**-1.5 * (1.5 + np.sin(t)) * rng.uniform(0.5, 1.0, len(t))
+    fit = fit_series(t, y, (2.0, 900.0))
+    crest = (t >= 2.0) & (t <= 900.0) & (y >= np.maximum.accumulate(y[::-1])[::-1])
+    tw, yw = t[crest], y[crest]
+    edges = np.logspace(math.log10(tw[0]), math.log10(tw[-1]), ENVELOPE_BINS + 1)
+    edges[0], edges[-1] = tw[0], tw[-1]
+    bins = [(tw >= lo) & (tw <= hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    want = [np.argmax(np.where(b, yw, -np.inf)) for b in bins if b.any()]
+    assert fit.t_points.tolist() == tw[want].tolist()
+    assert fit.y_points.tolist() == yw[want].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The README's library sketch runs and prints what its comments claim, its
-output column lists match the files, and its list of inlined gradients
-matches the catalog."""
+output column lists and records.npz member list match the files, and its
+list of inlined gradients matches the catalog."""
 import contextlib
 import fnmatch
 import io
 import re
 from pathlib import Path
+
+import numpy as np
 
 from inertial_rates.config import config_from_dict
 from inertial_rates.gridrun import export, run_cell
@@ -45,6 +47,19 @@ def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
     for name in ("energy.csv", "z.csv"):
         header = (tmp_path / name).read_text().splitlines()[0]
         assert documented[name] == header, name
+
+
+def test_readme_records_members_are_the_ones_run_cell_writes(tmp_path):
+    """The member list of records.npz under "Outputs per run" is the file's,
+    in the file's order."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Outputs per run"):text.index("### Exponent fits")]
+    documented = re.findall(r"^  - `(\w+)` — ", section, re.M)
+    cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6.0,
+                            "steps": 2000, "h": 1e-4, "stride": 10})
+    assert run_cell(cfg, str(tmp_path)).error is None
+    with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
+        assert documented == npz.files
 
 
 def test_readme_inlined_objectives_are_the_ones_with_an_expression(tmp_path):
