@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -76,7 +75,10 @@ class Trajectory:
 
     For scheme runs v is the divided difference (x_n - x_{n-1})/sqrt(h); for
     integrator runs v is the state velocity.  t is record_times of the run
-    fields and n.
+    fields and n.  A scheme run that comes to rest at an exact fixed point
+    has ``first_filled``, the index of the first record filled without
+    stepping: every later record repeats its x, v and gap (fill_records).
+    It is None for a run that never rests.
     """
 
     mode: str
@@ -89,6 +91,7 @@ class Trajectory:
     v: np.ndarray            # shape (N, dim)
     gap: np.ndarray          # F(x) - F*, shape (N,)
     error: Optional[str] = None
+    first_filled: Optional[int] = None
 
     @property
     def dim(self) -> int:
@@ -107,6 +110,21 @@ def record_times(mode: str, step: float, t0: float, n: np.ndarray) -> np.ndarray
     and t0 + n*dt for the integrator, computed from the index (no
     accumulated drift)."""
     return t0 + n * (step if mode == "ode-rk4" else math.sqrt(step))
+
+
+def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
+                 stride: int, last: int):
+    """(n, x, v, gap) followed by the fill of a run at rest from the last
+    record: that record's x, v and gap at every ``stride``-th step after it
+    up to ``last``, and at ``last``."""
+    first = int(n[-1])
+    tail = np.arange(first + stride, last + 1, stride, dtype=np.int64)
+    if (last - first) % stride:
+        tail = np.append(tail, np.int64(last))
+    k = len(tail)
+    return (np.concatenate((n, tail)), np.concatenate((x, np.repeat(x[-1:], k, axis=0))),
+            np.concatenate((v, np.repeat(v[-1:], k, axis=0))),
+            np.concatenate((gap, np.full(k, gap[-1]))))
 
 
 def _ode_t0(t0: float, dt: float) -> float:
@@ -171,9 +189,10 @@ def _rk4_kernel(obj: ObjectiveSpec, alpha: float, dt: float):
 
 class _Recorder:
     """Recorded (n, x, b, gap) samples, where b is the second half of the
-    state (x_{n-1} for the scheme, v for RK4).  Lists, not preallocated
-    arrays: appending a float costs far less than storing it into an array
-    element."""
+    state (x_{n-1} for the scheme, v for RK4), in lists (appending a float
+    costs far less than storing it into an array element), and the fill of
+    a run at rest as one segment: the stride and last n after the final
+    sample, whose state repeats over it."""
 
     def __init__(self, obj: ObjectiveSpec):
         self.obj = obj
@@ -181,6 +200,7 @@ class _Recorder:
         self.xs: list = []
         self.bs: list = []
         self.gaps: list = []
+        self.fill_to: Optional[tuple] = None  # (stride, last n) of the fill
 
     def gap(self, x) -> float:
         """F(x) - F*; a value that overflows counts as inf."""
@@ -197,27 +217,27 @@ class _Recorder:
 
     def fill(self, start: int, stop: int, stride: int, x, b) -> None:
         """Record (x, b) at every multiple of ``stride`` in [start, stop], and
-        at ``stop`` itself."""
-        first = -(-start // stride) * stride
-        ns = range(first, stop + 1, stride)
-        count = len(ns) + (stop % stride != 0)
-        self.ns.extend(ns)
-        if stop % stride:
-            self.ns.append(stop)
-        self.xs.extend(repeat(x, count))
-        self.bs.extend(repeat(b, count))
-        self.gaps.extend(repeat(self.gap(x), count))
+        at ``stop`` itself: the first of these as a sample, the rest as the
+        segment."""
+        self.add(min(-(-start // stride) * stride, stop), x, b)
+        self.fill_to = stride, stop
 
     def trajectory(self, error, velocity, mode: str, alpha: float, step: float,
                    t0: float) -> Trajectory:
         """The samples as a Trajectory with velocities ``velocity(x, b)``,
-        taken over all records at once."""
+        taken over all samples at once, and the segment expanded after
+        them."""
         dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
         x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
         b = np.asarray(self.bs, dtype=float).reshape(len(n), dim)
+        v, gap = velocity(x, b), np.array(self.gaps, dtype=float)
+        first_filled = None
+        if self.fill_to is not None:
+            first_filled = len(n) - 1
+            n, x, v, gap = fill_records(n, x, v, gap, *self.fill_to)
         return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n), x=x,
-                          v=velocity(x, b), gap=np.array(self.gaps, dtype=float), error=error)
+                          v=v, gap=gap, error=error, first_filled=first_filled)
 
 
 def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride: int,
@@ -241,8 +261,10 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
 
     With ``fixed_points``, a state (a, b) whose halves are identical bit for
     bit takes one step alone, and if that step returns the state unchanged,
-    the remaining records are filled with it without stepping; the caller
-    vouches that such a state steps to itself from then on.
+    the run is at rest: the caller vouches that such a state steps to itself
+    from then on.  The loop stops there; the first remaining record takes
+    the state, and the rest are one segment (its stride and last n) that
+    the Trajectory expands with numpy, marking that record first_filled.
     """
     finite, same = _point_form(obj.dim)
     a, b = state

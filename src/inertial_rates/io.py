@@ -11,7 +11,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import MODES, Trajectory, record_times
+from .config import MAX_RECORDS
+from .dynamics import MODES, Trajectory, fill_records, record_times
 from .lyapunov import EnergyTable
 from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
 
@@ -89,14 +90,25 @@ _MEMBERS = {"n": ("i8", "N"), "x": ("f8", "ND"), "v": ("f8", "ND"), "gap": ("f8"
 
 
 def write_records(traj: Trajectory, path: str) -> None:
-    """Write records.npz: the _MEMBERS of ``traj``, uncompressed."""
+    """Write records.npz: the _MEMBERS of ``traj``, uncompressed.  A run at
+    rest keeps its records up to its first filled one, and adds the member
+    tail, int64 (that record's n, the step between filled records, the last
+    n), from which read_cell fills the rest."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.savez(path, **{**{k: getattr(traj, k) for k in _MEMBERS}, "error": traj.error or ""})
+    members = {**{k: getattr(traj, k) for k in _MEMBERS}, "error": traj.error or ""}
+    i = traj.first_filled
+    if i is not None:
+        n = traj.n
+        stride = int(n[i + 1] - n[i]) if i + 1 < len(n) else 1  # 1: nothing to fill
+        members.update({k: members[k][:i + 1] for k in ("n", "x", "v", "gap")},
+                       tail=np.array([n[i], stride, n[-1]], dtype=np.int64))
+    np.savez(path, **members)
 
 
 def _trajectory(npz) -> Trajectory:
     """The Trajectory of the records.npz members ``npz``; ValueError when a
-    member has the wrong dtype or shape, or a run field a value no run has."""
+    member has the wrong dtype or shape, a run field a value no run has, or
+    tail does not continue the records (see _filled)."""
     m = {k: npz[k] for k in _MEMBERS}
     N = len(m["n"]) if m["n"].ndim == 1 and m["n"].size else -1  # -1: no shape matches
     D = m["x"].shape[1] if m["x"].ndim == 2 and m["x"].shape[1] else -1
@@ -110,8 +122,29 @@ def _trajectory(npz) -> Trajectory:
     if mode not in MODES or not (finite and alpha > 0.0 and step > 0.0):
         raise ValueError(f"run fields mode {mode!r}, alpha {alpha}, step {step}, t0 {t0}: "
                          f"want a mode of {MODES}, finite alpha > 0, step > 0 and t0")
-    return Trajectory(mode, alpha, step, t0, n=m["n"], t=record_times(mode, step, t0, m["n"]),
-                      x=m["x"], v=m["v"], gap=m["gap"], error=str(m["error"]) or None)
+    n, x, v, gap = m["n"], m["x"], m["v"], m["gap"]
+    first_filled = None
+    if "tail" in npz.files:
+        first_filled = N - 1
+        n, x, v, gap = fill_records(n, x, v, gap, *_filled(npz["tail"], n))
+    return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n),
+                      x=x, v=v, gap=gap, error=str(m["error"]) or None, first_filled=first_filled)
+
+
+def _filled(tail: np.ndarray, n: np.ndarray) -> Tuple[int, int]:
+    """(stride, last n) of the member tail, int64 (first n, stride, last n);
+    ValueError unless its first n is the last stored record's, stride >= 1,
+    last n >= first n, and the filled records stay within MAX_RECORDS."""
+    if tail.dtype.str[1:] != "i8" or tail.shape != (3,):
+        raise ValueError(f"member tail is {tail.dtype} of shape {tail.shape}, "
+                         f"not i8 of shape (3,)")
+    first, stride, last = map(int, tail)
+    if (first != n[-1] or stride < 1 or last < first
+            or len(n) + (last - first) // stride + 1 > MAX_RECORDS):
+        raise ValueError(f"member tail (first n {first}, stride {stride}, last n {last}) does "
+                         f"not continue the records: want first n = {n[-1]}, the last stored, "
+                         f"stride >= 1, last n >= first n and at most {MAX_RECORDS} records")
+    return stride, last
 
 
 def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:

@@ -86,3 +86,17 @@ def test_cell_faults_accepts_a_passing_cell(monkeypatch, tmp_path):
     })
     result = inertial_rates.gridrun.run_cell(cfg, str(tmp_path))
     assert run_bench.cell_faults(result, 6.0, 2.0) == []
+
+
+def test_flat_band_grid_cells_never_rest(monkeypatch):
+    """The gradient cells of flat-band-grid from the smallest start of the
+    benchmark's x0 range, the nearest to a fixed point, never reach one:
+    their records.npz stores every record and has no tail member."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    doc, _ = module.WORKLOADS["flat-band-grid"](random.Random(1))
+    doc["run"]["x0"] = 0.3
+    for _, cfg in inertial_rates.parse_config(json.dumps(doc)).cells():
+        assert inertial_rates.run(cfg, cfg.build_objective()).first_filled is None

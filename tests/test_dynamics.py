@@ -339,6 +339,9 @@ def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, s
     for got, want in ((traj.x, xs[ns]), (traj.v, vs[ns]), (traj.gap, gaps)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+    if traj.first_filled is not None:  # filled from a state at rest
+        n = traj.n[traj.first_filled]
+        assert xs[n].tobytes() == xs[n - 1].tobytes()
 
 
 _FIXED_POINT_CASES = [

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from inertial_rates import dynamics, gridrun, io, lyapunov, objectives, rates
 from inertial_rates.cli import main
-from inertial_rates.config import config_from_dict, parse_config
+from inertial_rates.config import MAX_RECORDS, config_from_dict, parse_config
+from inertial_rates.dynamics import _FACTOR_BLOCK as _BLOCK
 from inertial_rates.gridrun import run_cell, run_grid, worker_count
 from inertial_rates.rates import ZSeries
 from inertial_rates.svgplot import emit_svg
@@ -435,21 +436,47 @@ ROUND_TRIP_CELLS = {
     "rk4-3d-clamped-t0": dict(EXPORT_CELLS["rk4-3d"], t0=1e-3),  # starts at dt = 1e-2
     "diverges-mid-run": {"objective": "power:gamma=3,dim=1", "alpha": 3.0, "h": 10.0,
                          "steps": 1000, "stride": 2, "x0": [5.0]},
+    # runs at rest, whose records.npz ends at the first filled record
+    "prox-rests-off-stride": dict(EXPORT_CELLS["prox-freezes"], steps=50_003),
+    "prox-rests-3d": {"objective": "power:gamma=1.5,dim=3", "alpha": 3.0,
+                      "mode": "prox-nesterov", "h": 1e-4, "steps": 50_003, "stride": 10,
+                      "x0": [0.5, -0.2, 0.1]},
+    "x2-underflows-to-rest": {"objective": "power:gamma=2,dim=1", "alpha": 3.0, "h": 0.3,
+                              "steps": 50_000, "stride": 7, "x0": [0.5]},
+    # at rest from step _BLOCK on (see test_interval_loop_freezes_inside_and_at_the_end_of_a_block)
+    "rests-at-a-block-boundary": {"objective": "power:gamma=1,dim=1", "alpha": 3.0,
+                                  "mode": "prox-nesterov", "h": 9.235e-7, "steps": 9000,
+                                  "stride": _BLOCK, "x0": [0.1]},
 }
+RESTING_CELLS = ("prox-freezes", "prox-rests-off-stride", "prox-rests-3d",
+                 "x2-underflows-to-rest", "rests-at-a-block-boundary")
+MEMBERS = ["n", "x", "v", "gap", "mode", "alpha", "step", "t0", "error"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", list(ROUND_TRIP_CELLS))
 def test_read_cell_gives_back_the_run(tmp_path, name):
     """records.npz holds n, x, v, gap and the run fields, and read_cell
-    rebuilds the Trajectory of the run from it bit for bit, t included;
-    verify_rate on the loaded Trajectory writes the cell's verdict.json."""
+    rebuilds the Trajectory of the run from it bit for bit, t and
+    first_filled included; verify_rate on the loaded Trajectory writes the
+    cell's verdict.json.  Only the runs at rest have a first filled record,
+    and their records.npz stores the records up to it and the member tail,
+    no filled record after it."""
     cfg = config_from_dict(ROUND_TRIP_CELLS[name])
     run_cell(cfg, str(tmp_path))
     obj = cfg.build_objective()
     traj = dynamics.run(cfg, obj)
+    rests = name in RESTING_CELLS
+    assert (traj.first_filled is not None) == rests
     with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
-        assert npz.files == ["n", "x", "v", "gap", "mode", "alpha", "step", "t0", "error"]
+        assert npz.files == MEMBERS + ["tail"] * rests
+        stored = traj.first_filled + 1 if rests else len(traj)
+        assert len(npz["n"]) == len(npz["x"]) == stored
+    if rests:
+        assert stored < len(traj)
+        assert np.all(traj.x[stored:] == traj.x[stored - 1]) and np.all(traj.v[stored - 1:] == 0.0)
+    if name == "rests-at-a-block-boundary":
+        assert list(traj.n) == [0, _BLOCK, 2 * _BLOCK, 9000] and traj.first_filled == 2
     loaded, objective, regime = io.read_cell(str(tmp_path))
     for field in dataclasses.fields(dynamics.Trajectory):
         want, got = getattr(traj, field.name), getattr(loaded, field.name)
@@ -485,9 +512,14 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
 
 
 def _malformed(npz):
-    """(name, members) pairs: the members of a good records.npz with one
-    changed to what no run writes."""
+    """(name, members) pairs: the members of a good records.npz of a run at
+    rest with one changed to what no run writes, or removed; a file without
+    tail is a run that never rests."""
     m = dict(npz)
+    first, stride, last = m["tail"].tolist()
+    tails = ([first + stride, stride, last], [m["n"][-2], stride, last], [first, 0, last],
+             [first, -stride, last], [first, stride, first - 1],
+             [first, 1, first + MAX_RECORDS])
     yield from ((k, dict(m, **{k: v})) for k, v in (
         ("x", m["x"].ravel()), ("x", m["x"][:-1]), ("v", np.repeat(m["v"], 2, axis=1)),
         ("x", m["x"][:, :0]), ("gap", m["gap"][1:]), ("gap", m["gap"][:, None]),
@@ -496,20 +528,25 @@ def _malformed(npz):
         ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan), ("alpha", "3"),
         ("step", 0.0), ("step", -1e-4), ("step", math.inf), ("step", np.array([1e-4])),
         ("t0", math.nan), ("t0", -math.inf), ("error", None), ("error", 0.0),
+        ("tail", m["tail"].astype(float)), ("tail", m["tail"].astype(np.int32)),
+        ("tail", m["tail"][:2]), ("tail", m["tail"][None]),
+        *(("tail", np.array(t, dtype=np.int64)) for t in tails),
     ))
-    yield from ((f"no {k}", {j: v for j, v in m.items() if j != k}) for k in m)
+    yield from ((f"no {k}", {j: v for j, v in m.items() if j != k}) for k in m if k != "tail")
 
 
 def test_export_exits_2_on_a_malformed_records_file_and_writes_nothing(tmp_path, capsys):
-    """A records.npz member of the wrong dtype or shape, or a run field with
-    a value no run has (a mode not in MODES, alpha or step not finite and
-    positive, t0 not finite), is a ValueError of read_cell: export exits 2
-    and writes no CSV for the cell."""
+    """A records.npz member of the wrong dtype or shape, a run field with a
+    value no run has (a mode not in MODES, alpha or step not finite and
+    positive, t0 not finite), or a tail that does not continue the stored
+    records (its first n not the last stored n, stride < 1, last n below
+    first n, more than MAX_RECORDS records) is a ValueError of read_cell: export
+    exits 2 and writes no CSV for the cell."""
     cell = tmp_path / "cell"
-    run_cell(config_from_dict(SMALL_RUN), str(cell))
+    run_cell(config_from_dict(ROUND_TRIP_CELLS["prox-rests-off-stride"]), str(cell))
     with np.load(cell / "records.npz", allow_pickle=False) as npz:
         cases = list(_malformed(npz))
-    assert len(cases) == 33
+    assert len(cases) == 43
     for name, members in cases:
         np.savez(cell / "records.npz", **members)
         with pytest.raises(ValueError, match="cannot load cell"):

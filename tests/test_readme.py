@@ -34,15 +34,20 @@ def test_readme_library_sketch_prints_its_claims():
     assert float(residual) < 1e-5
 
 
+RUN = {"objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 2000, "h": 1e-4,
+       "stride": 10}
+# extinguished near step 2,000: at rest
+RESTING_RUN = {"objective": "power:gamma=1.5,dim=1", "alpha": 3.0, "mode": "prox-nesterov",
+               "steps": 4000, "h": 1e-4, "stride": 10}
+
+
 def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
     """The column lists under "Outputs per run" are the headers of energy.csv
     and z.csv as export writes them from run_cell's records."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Outputs per run"):text.index("### Exponent fits")]
     documented = dict(re.findall(r"^- `(\w+\.csv)` — `([^`]*)`", section, re.M))
-    cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6.0,
-                            "steps": 2000, "h": 1e-4, "stride": 10})
-    assert run_cell(cfg, str(tmp_path)).error is None
+    assert run_cell(config_from_dict(RUN), str(tmp_path)).error is None
     export(str(tmp_path))
     for name in ("energy.csv", "z.csv"):
         header = (tmp_path / name).read_text().splitlines()[0]
@@ -50,16 +55,17 @@ def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
 
 
 def test_readme_records_members_are_the_ones_run_cell_writes(tmp_path):
-    """The member list of records.npz under "Outputs per run" is the file's,
-    in the file's order."""
+    """The member list of records.npz under "Outputs per run" is the file's
+    of a run at rest, in the file's order, and without its last, tail, that
+    of a run that never rests."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Outputs per run"):text.index("### Exponent fits")]
     documented = re.findall(r"^  - `(\w+)` — ", section, re.M)
-    cfg = config_from_dict({"objective": "power:gamma=2,dim=1", "alpha": 6.0,
-                            "steps": 2000, "h": 1e-4, "stride": 10})
-    assert run_cell(cfg, str(tmp_path)).error is None
-    with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
-        assert documented == npz.files
+    assert documented[-1] == "tail"
+    for run, members in ((RUN, documented[:-1]), (RESTING_RUN, documented)):
+        assert run_cell(config_from_dict(run), str(tmp_path)).error is None
+        with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
+            assert members == npz.files
 
 
 def test_readme_inlined_objectives_are_the_ones_with_an_expression(tmp_path):
