@@ -32,7 +32,8 @@ class GradientExpr:
 
     ``names`` holds, as (name, value) pairs, every constant and function the
     text refers to besides builtins: numbers reach the code through these
-    names only, never as text.  ``function`` is ``lambda y: <text>`` compiled
+    names only, never as text, except the small integer gamma of a product
+    (_PRODUCT_GAMMAS).  ``function`` is ``lambda y: <text>`` compiled
     with ``names`` as its globals.  dynamics.run_scheme inlines the text into
     its stepping loop when an objective's ``gradient`` is this very function,
     so the callable and the inlined step evaluate the same operations.
@@ -45,6 +46,23 @@ class GradientExpr:
 
 def _gradient_expr(text: str, **names) -> GradientExpr:
     return GradientExpr(text, tuple(names.items()), eval("lambda y: " + text, dict(names)))
+
+
+# The integer gammas whose 1-D power gradient is stated as a product
+# (_product) rather than through **.  Gamma 3 and 4 are the gammas that the
+# flat-band-grid workload steps; at gamma 4 the product steps at 92-98 against
+# 151-154 ns/step for the pow form (1-D scheme kernel, 2-vCPU Xeon VM,
+# Python 3.11).  Gamma 5-8 are faster as products in that kernel alone, but
+# no workload runs them, so they keep the pow form and its bits.
+_PRODUCT_GAMMAS = (2.0, 3.0, 4.0)
+
+
+def _product(k: int) -> str:
+    """The text of the gradient k * |y|**(k-1) * sign(y) for an integer gamma
+    k in _PRODUCT_GAMMAS: ``k.0`` times k-1 factors ``y``, the last one
+    ``abs(y)`` for odd k.  Gamma 4 is within 1 ulp of the pow form
+    (tests/test_kernels.py pins the bound)."""
+    return " * ".join([f"{k}.0"] + ["y"] * (k - 2) + ["y" if k % 2 == 0 else "abs(y)"])
 
 
 @dataclass(frozen=True)
@@ -291,18 +309,14 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
     prox1 = _power_prox(gamma)
     expr = None
     if dim == 1:
-        if gamma == 2.0:
-            value = lambda x: x * x
-            expr = _gradient_expr("2.0 * y")
-        elif gamma == 3.0:
-            value = lambda x: abs(x) ** 3
-            expr = _gradient_expr("3.0 * y * abs(y)")
-        elif gamma == 1.0:
+        value = (lambda x: x * x) if gamma == 2.0 else (lambda x: abs(x) ** gamma)
+        if gamma == 1.0:
             value = abs
             expr = _gradient_expr("copysign(1.0, y) if y != 0.0 else 0.0",
                                   copysign=math.copysign)
+        elif gamma in _PRODUCT_GAMMAS:
+            expr = _gradient_expr(_product(int(gamma)))
         else:
-            value = lambda x: abs(x) ** gamma
             expr = _gradient_expr("copysign(gamma * abs(y) ** g1, y) if y != 0.0 else 0.0",
                                   copysign=math.copysign, gamma=gamma, g1=gamma - 1.0)
         gradient = expr.function

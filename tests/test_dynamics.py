@@ -503,7 +503,7 @@ def test_gap_is_recorded_with_each_point(mode, spec, x0):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0, 4.0])
 @settings(max_examples=15, deadline=None)
 @given(
     alpha=st.floats(0.5, 8.0),
@@ -516,9 +516,11 @@ def test_float_and_array_loops_agree_on_an_axis(mode, gamma, alpha, log_step, x0
                                                 x0_sign, v0):
     """power at dim 1 against power at dim 3 started on the first axis: the
     off-axis components stay exactly 0.  The gradient loops agree bit for bit
-    for gamma 2 and 3 (pow-free gradients); gamma 1.5 and every prox run
-    (the radial prox rescales y by prox(|y|)/|y|, which rounds differently
-    from the scalar prox) agree to a bounded relative drift.
+    for gamma 2 and 3, where the 1-D product (2.0*y, 3.0*y*|y|) and the
+    radial gamma * |x|**(gamma-2) * x round alike; gamma 1.5, gamma 4 (the
+    1-D product 4.0*y*y*y against the radial 4.0 * n**2.0 * x) and every
+    prox run (the radial prox rescales y by prox(|y|)/|y|, which rounds
+    differently from the scalar prox) agree to a bounded relative drift.
 
     |x0| is log-uniform on [1e-300, 2], which covers the range where the
     squared sum inside the radial norm is subnormal.  RK4 at gamma 1.5 keeps

@@ -4,20 +4,23 @@ The 1-D catalog gradients are stated as one expression each
 (objectives.GradientExpr); run_scheme inlines that text into its stepping
 loop, and the public ``gradient`` callable is compiled from the same text.
 The references below are the gradients as they were written before they
-became expressions: the expression-built callables must return their bits
-(or raise as they do), and a run with the inlined step must record what a run
-calling the reference records.
+became expressions, gamma 4 as the product that replaced its pow form: the
+expression-built callables must return their bits (or raise as they do), and
+a run with the inlined step must record what a run calling the reference
+records.  The integer-gamma products are also bounded against the pow form
+they replace, in ulps per gradient and in relative drift per run.
 """
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from inertial_rates.dynamics import _interval_kernel, _rk4_kernel, run_scheme
 from inertial_rates.objectives import (
+    _PRODUCT_GAMMAS,
     ObjectiveSpec,
     make_plateau,
     make_power,
@@ -28,15 +31,20 @@ POWER_GAMMAS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
 PLATEAU_GAMMAS = (1.0, 2.0, 2.5)
 
 
+def _pow_power_gradient(gamma):
+    return lambda x: math.copysign(gamma * abs(x) ** (gamma - 1.0), x) if x != 0.0 else 0.0
+
+
 def _reference_power_gradient(gamma):
     if gamma == 2.0:
         return lambda x: 2.0 * x
     if gamma == 3.0:
         return lambda x: 3.0 * x * abs(x)
+    if gamma == 4.0:
+        return lambda x: 4.0 * x * x * x
     if gamma == 1.0:
         return lambda x: math.copysign(1.0, x) if x != 0.0 else 0.0
-    g1 = gamma - 1.0
-    return lambda x: math.copysign(gamma * abs(x) ** g1, x) if x != 0.0 else 0.0
+    return _pow_power_gradient(gamma)
 
 
 def _reference_plateau_gradient(gamma, a):
@@ -82,9 +90,12 @@ def test_expression_gradient_matches_reference_at_special_points(label, obj, ref
     assert obj.gradient is obj.gradient_expr.function
     for y in SPECIAL:
         assert _outcome(obj.gradient, y) == _outcome(reference, y), (label, y)
-    # every power gradient above gamma 2 that uses ** overflows somewhere
-    if label in ("power-g2.5", "power-g4"):
+    # a power gradient that uses ** raises where its power overflows; the
+    # integer-gamma products give inf there instead
+    if label == "power-g2.5":
         assert _outcome(obj.gradient, 1e300) is OverflowError
+    if label == "power-g4":
+        assert _outcome(obj.gradient, 1e300) == struct.pack("<d", math.inf)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,3 +177,93 @@ def test_kernel_warnings_meet_the_package_warning_filter():
     rk4 = _rk4_kernel(obj, 3.0, 1e-3)
     with pytest.raises(RuntimeWarning, match="invalid value"):
         rk4([1.0], np.zeros(3), inf)  # v + 0.5*dt*a1v with a1v = -inf
+
+
+# ---------------------------------------------------------------------------
+# integer-gamma products against the pow form they replace
+# ---------------------------------------------------------------------------
+
+def _ulps(a, b):
+    """The distance of two finite floats of one sign, in units in the last place."""
+    return abs(struct.unpack("<q", struct.pack("<d", a))[0]
+               - struct.unpack("<q", struct.pack("<d", b))[0])
+
+
+# The largest distance of the product from the pow form over 4.5e6 random
+# normal points per gamma (mantissa uniform in [1, 2), exponent uniform where
+# the result is normal).  Gamma 2 and 3 keep the texts they had before the
+# product rule; gamma 4 is the one whose bits moved.
+PRODUCT_ULPS = {2: 0, 3: 2, 4: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(mantissa=st.floats(1.0, 2.0, exclude_max=True), negative=st.booleans(),
+       data=st.data())
+@pytest.mark.parametrize("k", [int(g) for g in _PRODUCT_GAMMAS])
+def test_product_gradient_is_within_pinned_ulps_of_the_pow_form(k, mantissa, negative, data):
+    """At every finite y where neither form overflows or turns subnormal."""
+    span = 1021 // (k - 1)  # exponents whose (k-1)-th power stays normal
+    y = math.ldexp(-mantissa if negative else mantissa,
+                   data.draw(st.integers(-span + 1, span - 2), label="exponent"))
+    product, pow_form = make_power(float(k)).gradient(y), _pow_power_gradient(float(k))(y)
+    assume(all(2.2250738585072014e-308 <= abs(g) < math.inf for g in (product, pow_form)))
+    assert math.copysign(1.0, product) == math.copysign(1.0, y) == math.copysign(1.0, pow_form)
+    assert _ulps(product, pow_form) <= PRODUCT_ULPS[k], (y, product, pow_form)
+
+
+@pytest.mark.parametrize("k", [int(g) for g in _PRODUCT_GAMMAS])
+def test_product_gradient_keeps_the_sign_of_zero(k):
+    """The product at -0.0 is -0.0, where the pow form's guard returns +0.0.
+    A run started at -0.0 records the same bits with either form."""
+    obj = make_power(float(k))
+    pow_form = _pow_power_gradient(float(k))
+    for y in (0.0, -0.0):
+        assert _outcome(obj.gradient, y) == struct.pack("<d", y)
+        assert _outcome(pow_form, y) == struct.pack("<d", 0.0)
+    through = ObjectiveSpec(**{**obj.__dict__, "gradient": pow_form})
+    product, called = (run_scheme(o, 3.0, 1e-2, 50, -0.0, stride=10) for o in (obj, through))
+    assert product.x.tobytes() == called.x.tobytes() and product.v.tobytes() == called.v.tobytes()
+
+
+# relative drift of a gamma-4 run's records from the pow form's (4.1e-13 is
+# the largest over 7,000 random runs like these)
+RUN_DRIFT = 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    log_h=st.floats(-6.0, 0.0),
+    stride=st.integers(1, 60),
+    steps=st.integers(1, 1500),
+    x0=X0,
+)
+@example(alpha=3.0, log_h=0.0, stride=7, steps=200, x0=1e103)  # diverges at step 1
+def test_gamma_4_run_stays_within_a_relative_bound_of_the_pow_form_run(alpha, log_h, stride,
+                                                                      steps, x0):
+    """A run records the same steps, the same divergence, and (when it does
+    not diverge) x and v within RUN_DRIFT of the largest |x| and |v|."""
+    obj = make_power(4.0)
+    through = ObjectiveSpec(**{**obj.__dict__, "gradient": _pow_power_gradient(4.0)})
+    product = run_scheme(obj, alpha, 10.0 ** log_h, steps, x0, stride=stride)
+    pow_form = run_scheme(through, alpha, 10.0 ** log_h, steps, x0, stride=stride)
+    assert product.error == pow_form.error
+    assert np.array_equal(product.n, pow_form.n)
+    if product.error is None:
+        for p, q in ((product.x, pow_form.x), (product.v, pow_form.v)):
+            scale = float(np.max(np.abs(p))) or 1.0
+            assert float(np.max(np.abs(p - q))) <= RUN_DRIFT * scale
+
+
+def test_gamma_4_run_that_overflows_at_once_still_names_step_1():
+    """The product overflows to inf where the pow form raised OverflowError;
+    both end the run at the same step with the same marker."""
+    obj = make_power(4.0)
+    through = ObjectiveSpec(**{**obj.__dict__, "gradient": _pow_power_gradient(4.0)})
+    with pytest.raises(OverflowError):
+        through.gradient(1e103)
+    assert obj.gradient(1e103) == math.inf
+    for o in (obj, through):
+        traj = run_scheme(o, 3.0, 1.0, 100, 1e103, stride=10)
+        assert traj.error == "non-finite state at step 1"
+        assert traj.n.tolist() == [0] and traj.x[0, 0] == 1e103
