@@ -6,8 +6,8 @@ Both dynamics step through one driver loop (_drive), written once for both
 point forms (objectives.as_point): Python floats in dimension 1, where a step
 costs a small fraction of the array form's, and float arrays otherwise.  Each
 run compiles the steps of one record interval from its dynamics' template: a
-1-D catalog gradient is inlined into the scheme's as its expression, any
-other step calls the objective's gradient or prox.
+1-D catalog gradient or closed-form power prox is inlined into the scheme's
+as its expression, any other step calls the objective's gradient or prox.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, as_point
+from .objectives import ObjectiveSpec, as_point, prox_expr
 
 MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 
@@ -30,9 +30,9 @@ MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 _FACTOR_BLOCK = 4096
 
 # The steps of one record interval of run_scheme.  {step} is package-owned
-# expression text in the extrapolated point y; every number it names (h, and
-# an objective's constants) is a global of the compiled function, so an
-# inlined expression must not use the names bound here.
+# expression text in the extrapolated point y; every number it names (h, an
+# objective's constants and a prox's terms in h) is a global of the compiled
+# function, so an inlined expression must not use the names bound here.
 _INTERVAL = """\
 def interval(factors, x, xp):
     for m in factors:
@@ -167,15 +167,22 @@ def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
     """``interval(factors, x, xp) -> (x, xp)``: the steps of run_scheme with
     extrapolation factors ``factors`` from the state (x, xp).  The gradient
     step y - h*grad(y) inlines ``obj.gradient_expr`` when ``obj.gradient`` is
-    the function built from it (the same operations, so the same bits), and
-    calls ``obj.gradient`` otherwise; a proximal step calls ``obj.prox``."""
+    the function built from it, and calls ``obj.gradient`` otherwise; the
+    proximal step inlines the ProxExpr that ``obj.prox`` is built from, with
+    its terms in h computed here, once, and calls ``obj.prox`` when it has
+    none.  An inlined step evaluates the same operations as the call, so it
+    gives the same bits."""
     names = {"h": h}
-    expr = obj.gradient_expr
     if use_prox:
-        step, names["prox"] = "prox(h, y)", obj.prox
-    elif expr is not None and expr.function is obj.gradient:
-        step = f"y - h * ({expr.text})"
-        names.update(expr.names)
+        expr = prox_expr(obj.prox)
+        if expr is not None:
+            step = expr.text
+            names.update(expr.bind(h))
+        else:
+            step, names["prox"] = "prox(h, y)", obj.prox
+    elif obj.gradient_expr is not None and obj.gradient_expr.function is obj.gradient:
+        step = f"y - h * ({obj.gradient_expr.text})"
+        names.update(obj.gradient_expr.names)
     else:
         step, names["grad"] = "y - h * grad(y)", obj.gradient
     return _compile(_INTERVAL.format(step=step), names, "run_scheme")

@@ -55,7 +55,7 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
             zs = rates.z_sequence(traj, regime.exponent)
             z = (zs.t, zs.z)
             try:
-                verdict = rates.verify_rate(traj, regime)
+                verdict = rates.verify_rate(traj, regime, zs)
             except ValueError as exc:
                 # simulation succeeded but cannot support a rate verdict
                 # (degenerate gaps or a horizon too short for the tail tests)

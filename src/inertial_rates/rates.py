@@ -232,9 +232,10 @@ def scheme_fit_cap(h: float) -> float:
     return SCHEME_FIT_BUDGET / math.sqrt(h)
 
 
-def verify_rate(traj: Trajectory, regime: RateRegime) -> RateVerdict:
-    """Fit the gap envelope (fit_series) and test the z-sequence at the
-    regime exponent.
+def verify_rate(traj: Trajectory, regime: RateRegime, zs: ZSeries) -> RateVerdict:
+    """Fit the gap envelope (fit_series) and test ``zs``, the run's
+    z_sequence at the regime exponent (a ValueError names any other
+    exponent).
 
     The fit window is the decade below scheme_fit_cap(h) for a scheme run of
     a sharp objective (gamma <= 2) whose records reach the cap, where the
@@ -245,7 +246,9 @@ def verify_rate(traj: Trajectory, regime: RateRegime) -> RateVerdict:
     Non-vanishing: tail max >= NONVANISH_THRESHOLD * global max.
     Boundedness: tail max <= BOUNDEDNESS_SLACK * global max.
     """
-    zs = z_sequence(traj, regime.exponent)
+    if zs.exponent != regime.exponent:
+        raise ValueError(f"verify_rate: z is taken at exponent {zs.exponent}, "
+                         f"the regime's is {regime.exponent}")
     if zs.degenerate:
         raise ValueError(
             "verify_rate: degenerate z-sequence (all gaps are zero, or a gap overflowed)"

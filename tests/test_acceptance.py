@@ -35,6 +35,7 @@ from inertial_rates.rates import (
     tail_model_residuals,
     theoretical_rate,
     verify_rate,
+    z_sequence,
 )
 
 H_SCHEME = 1e-5
@@ -80,7 +81,7 @@ def test_criterion_1_fig5_left_optimal_sharp_rate(fig5_left):
     traj, elapsed = fig5_left
     regime = theoretical_rate(1.0, 1.5)
     assert regime.exponent == pytest.approx(6.0 / 7.0)
-    verdict = verify_rate(traj, regime)
+    verdict = verify_rate(traj, regime, z_sequence(traj, regime.exponent))
     ok = (
         abs(verdict.fitted - 6.0 / 7.0) <= 0.1
         and verdict.boundedness
@@ -103,7 +104,7 @@ def test_criterion_2_fig6_right_quadratic_rate_not_exponential(fig6_right):
     """power gamma=2, alpha=6: rate 6, and the decay is polynomial."""
     traj = fig6_right
     regime = theoretical_rate(6.0, 2.0)
-    verdict = verify_rate(traj, regime)
+    verdict = verify_rate(traj, regime, z_sequence(traj, regime.exponent))
     r_loglog, r_loglin = tail_model_residuals(traj, t_window=SHARP_WINDOW)
     ok = (
         abs(verdict.fitted - 6.0) <= 0.3
@@ -130,7 +131,7 @@ def test_criterion_3_fig7_flat_family(fig7_family):
     for alpha, traj in fig7_family.items():
         regime = theoretical_rate(alpha, 3.0)
         assert regime.exponent == pytest.approx(expected[alpha])
-        verdict = verify_rate(traj, regime)
+        verdict = verify_rate(traj, regime, z_sequence(traj, regime.exponent))
         if alpha == 4.0:
             cell_ok = verdict.nonvanishing  # Prop-4.8 regime: lower bound only
             details.append(
@@ -143,7 +144,8 @@ def test_criterion_3_fig7_flat_family(fig7_family):
         ok = ok and cell_ok
     _report("C3", ok, "fig7 gamma=3: " + "; ".join(details))
     for alpha, traj in fig7_family.items():
-        verdict = verify_rate(traj, theoretical_rate(alpha, 3.0))
+        regime = theoretical_rate(alpha, 3.0)
+        verdict = verify_rate(traj, regime, z_sequence(traj, regime.exponent))
         if alpha == 4.0:
             assert verdict.nonvanishing
         else:

@@ -497,7 +497,8 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
     verdict, notes = None, {}
     if len(loaded) > 1:
         try:
-            verdict = rates.verify_rate(loaded, regime)
+            zs = rates.z_sequence(loaded, regime.exponent)
+            verdict = rates.verify_rate(loaded, regime, zs)
         except ValueError as exc:
             notes["verdict_error"] = str(exc)
     if loaded.error:

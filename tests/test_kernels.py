@@ -1,14 +1,17 @@
-"""The scheme's inlined gradient step against the call-through step, bit for bit.
+"""The scheme's inlined gradient and prox steps against the call-through
+steps, bit for bit.
 
 The 1-D catalog gradients are stated as one expression each
-(objectives.GradientExpr); run_scheme inlines that text into its stepping
-loop, and the public ``gradient`` callable is compiled from the same text.
-The references below are the gradients as they were written before they
-became expressions, gamma 4 as the product that replaced its pow form: the
-expression-built callables must return their bits (or raise as they do), and
-a run with the inlined step must record what a run calling the reference
-records.  The integer-gamma products are also bounded against the pow form
-they replace, in ulps per gradient and in relative drift per run.
+(objectives.GradientExpr), and so are the closed-form 1-D power proxes
+(objectives.ProxExpr, gamma 1, 1.5, 2 and 3); run_scheme inlines that text
+into its stepping loop, and the public ``gradient`` or ``prox`` callable is
+compiled from the same text.  The references below are the gradients and
+proxes as they were written before they became expressions, gamma 4's
+gradient as the product that replaced its pow form: the expression-built
+callables must return their bits (or raise as they do), and a run with the
+inlined step must record what a run calling the reference records.  The
+integer-gamma products are also bounded against the pow form they replace,
+in ulps per gradient and in relative drift per run.
 """
 import math
 import struct
@@ -22,8 +25,10 @@ from inertial_rates.dynamics import _interval_kernel, _rk4_kernel, run_scheme
 from inertial_rates.objectives import (
     _PRODUCT_GAMMAS,
     ObjectiveSpec,
+    make_least_squares,
     make_plateau,
     make_power,
+    prox_expr,
     prox_power,
 )
 
@@ -267,3 +272,125 @@ def test_gamma_4_run_that_overflows_at_once_still_names_step_1():
         traj = run_scheme(o, 3.0, 1.0, 100, 1e103, stride=10)
         assert traj.error == "non-finite state at step 1"
         assert traj.n.tolist() == [0] and traj.x[0, 0] == 1e103
+
+
+# ---------------------------------------------------------------------------
+# closed-form proxes: the inlined text against the functions it replaced
+# ---------------------------------------------------------------------------
+
+PROX_GAMMAS = (1.0, 1.5, 2.0, 3.0)
+
+
+def _reference_power_prox(gamma):
+    """The closed-form prox_power of ``gamma`` as written before it became an
+    expression."""
+    if gamma == 1.0:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            return math.copysign(max(abs(y) - h, 0.0), y)
+    elif gamma == 2.0:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            return y / (1.0 + 2.0 * h)
+    elif gamma == 1.5:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            ay = abs(y)
+            b = 1.5 * h
+            s = ay / (0.5 * b + math.sqrt(0.25 * b * b + ay))
+            return math.copysign(min(s * s, ay), y)
+    else:
+        def prox(h, y):
+            if y == 0.0:
+                return 0.0
+            ay = abs(y)
+            q = 3.0 * h * ay
+            if q == math.inf:
+                return math.copysign(math.sqrt(ay) / math.sqrt(3.0 * h), y)
+            return math.copysign(ay / (0.5 + math.sqrt(0.25 + q)), y)
+    return prox
+
+
+def _inlined_prox(obj, h):
+    """The prox text as the scheme's loop evaluates it: with the terms in h
+    that the kernel binds once per run (ProxExpr.bind) as globals."""
+    expr = prox_expr(obj.prox)
+    return eval("lambda y: " + expr.text, expr.bind(h))
+
+
+PROX_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 0.75, -3.5, 1e300, -1e300,
+                1.7e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+PROX_H = (1e-5, 0.5, 1.0, 1e10)
+
+
+@pytest.mark.parametrize("gamma", PROX_GAMMAS)
+def test_inlined_prox_matches_reference_at_special_points(gamma):
+    """The callable and the text under the kernel's bound terms give the old
+    function's bits at each point, for steps from a run's to ones where the
+    terms overflow their products."""
+    obj, reference = make_power(gamma), _reference_power_prox(gamma)
+    assert prox_expr(obj.prox).function is obj.prox
+    for h in PROX_H:
+        inlined = _inlined_prox(obj, h)
+        for y in PROX_SPECIAL:
+            want = _outcome(reference, h, y)
+            assert _outcome(obj.prox, h, y) == want, (gamma, h, y)
+            assert _outcome(inlined, y) == want, (gamma, h, y)
+    if gamma == 1.5:  # s*s rounds above |y| and min picks |y|
+        assert obj.prox(1e-5, 1.7e308) == 1.7e308 and obj.prox(1e-5, -1.7e308) == -1.7e308
+    if gamma == 3.0:  # the points take the branch where 3h|y| overflows
+        for h, y in ((1.0, 1.7e308), (1e10, -1e300)):
+            assert 3.0 * h * abs(y) == math.inf
+            assert obj.prox(h, y) == math.copysign(math.sqrt(abs(y)) / math.sqrt(3.0 * h), y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    log_h=st.floats(-6.0, 1.0),
+    stride=st.integers(1, 60),
+    steps=st.integers(1, 1500),
+    x0=X0,
+)
+@example(alpha=1.0, log_h=-2.0, stride=10, steps=1500, x0=0.5)      # arrives at x = 0
+@example(alpha=3.0, log_h=-4.0, stride=10, steps=300, x0=1e-170)    # fixed point at once
+@example(alpha=3.0, log_h=-2.0, stride=3, steps=100, x0=-0.0)       # rest at -0.0
+@example(alpha=3.0, log_h=0.0, stride=7, steps=200, x0=1e200)       # huge start
+@pytest.mark.parametrize("gamma", PROX_GAMMAS)
+def test_inlined_prox_run_matches_reference_prox_run(gamma, alpha, log_h, stride, steps, x0):
+    """A run with the inlined prox step records what a run calling the
+    reference prox records, with the same first_filled and error marker."""
+    h = 10.0 ** log_h
+    obj = make_power(gamma)
+    through = ObjectiveSpec(**{**obj.__dict__, "prox": _reference_power_prox(gamma)})
+    inlined = run_scheme(obj, alpha, h, steps, x0, stride=stride, use_prox=True)
+    called = run_scheme(through, alpha, h, steps, x0, stride=stride, use_prox=True)
+    assert _trajectory_bits(inlined) == _trajectory_bits(called)
+    assert inlined.first_filled == called.first_filled
+
+
+def _prox_objectives():
+    """(label, objective) for every catalog prox: the 1-D powers (closed
+    form or Newton), a radial power, the plateau and lsq."""
+    cases = [(f"power-g{g:g}", make_power(g)) for g in POWER_GAMMAS]
+    cases += [("power-g1.5-d3", make_power(1.5, 3)), ("plateau-g1.5", make_plateau(1.5, 0.75)),
+              ("lsq", make_least_squares(np.array([[2.0, 1.0], [0.5, 3.0]]), np.ones(2)))]
+    return cases
+
+
+@pytest.mark.parametrize("label,obj", _prox_objectives(), ids=[c[0] for c in _prox_objectives()])
+def test_only_the_closed_form_prox_is_inlined(label, obj):
+    """The loop names no prox for a closed-form 1-D power prox; every other
+    prox is called, and so is a closed-form one swapped for another
+    callable (the reference here)."""
+    names = _interval_kernel(obj, 1e-3, use_prox=True).__code__.co_names
+    closed_form = label in {f"power-g{g:g}" for g in PROX_GAMMAS}
+    assert ("prox" in names) == (not closed_form)
+    assert (prox_expr(obj.prox) is not None) == closed_form
+    if closed_form:
+        reference = _reference_power_prox(obj.nominal_gamma)
+        swapped = ObjectiveSpec(**{**obj.__dict__, "prox": reference})
+        assert "prox" in _interval_kernel(swapped, 1e-3, use_prox=True).__code__.co_names

@@ -165,6 +165,15 @@ def test_prox_rejects_bad_args():
         prox_power(2.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("gamma,h,message", [
+    (math.nan, 0.1, "gamma >= 1, got nan"),  # was an ArithmeticError after 200 Newton steps
+    (1.5, math.nan, "h > 0, got nan"),       # was a nan result
+], ids=["nan-gamma", "nan-h"])
+def test_prox_rejects_a_nan_gamma_or_h(gamma, h, message):
+    with pytest.raises(ValueError, match=message):
+        prox_power(gamma, h, 1.0)
+
+
 def _prox_residual(obj, h, y):
     """|z - y + h g| with g = gradient(z); the optimality residual."""
     z = obj.prox(h, y)

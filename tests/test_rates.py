@@ -19,6 +19,11 @@ from inertial_rates.rates import (
 )
 
 
+def _verify(traj, regime):
+    """verify_rate on the run's z sequence at the regime exponent."""
+    return verify_rate(traj, regime, z_sequence(traj, regime.exponent))
+
+
 def _gap_traj(t, gap, mode="nesterov"):
     t = np.asarray(t, dtype=float)
     gap = np.asarray(gap, dtype=float)
@@ -210,7 +215,7 @@ def test_z_overflowed_gap_is_degenerate_not_nan():
     assert zs.degenerate and zs.prenorm_max == math.inf
     assert np.array_equal(zs.z, gap * t)  # left unnormalized
     with pytest.raises(ValueError, match="all gaps are zero, or a gap overflowed"):
-        verify_rate(_gap_traj(t, gap), theoretical_rate(1.0, 2.0))
+        _verify(_gap_traj(t, gap), theoretical_rate(1.0, 2.0))
 
 
 def test_z_requires_finite_exponent():
@@ -226,7 +231,7 @@ def test_z_requires_finite_exponent():
 def test_verify_rate_synthetic_pass():
     t = np.linspace(0.01, 1000.0, 100_000)
     gap = t**-2.0 * (1.5 + np.sin(3 * t))
-    verdict = verify_rate(_gap_traj(t, gap), theoretical_rate(2.0, 2.0))
+    verdict = _verify(_gap_traj(t, gap), theoretical_rate(2.0, 2.0))
     assert verdict.boundedness and verdict.nonvanishing and verdict.passed
     assert verdict.fitted == pytest.approx(2.0, abs=0.05)
 
@@ -235,7 +240,7 @@ def test_verify_rate_vanishing_z_fails():
     # true decay much faster than the candidate exponent: z dies off
     t = np.linspace(0.01, 1000.0, 100_000)
     gap = t**-4.0
-    verdict = verify_rate(_gap_traj(t, gap), theoretical_rate(2.0, 2.0))  # rate 2
+    verdict = _verify(_gap_traj(t, gap), theoretical_rate(2.0, 2.0))  # rate 2
     assert not verdict.nonvanishing
     assert not verdict.passed
 
@@ -244,15 +249,22 @@ def test_verify_rate_intermediate_branch_asserts_only_nonvanishing():
     t = np.linspace(0.01, 1000.0, 100_000)
     reg = theoretical_rate(4.0, 3.0)
     gap = t**-reg.exponent * (1.5 + np.sin(t))
-    verdict = verify_rate(_gap_traj(t, gap), reg)
+    verdict = _verify(_gap_traj(t, gap), reg)
     assert verdict.branch == BRANCH_INTERMEDIATE
     assert verdict.passed == verdict.nonvanishing
+
+
+def test_verify_rate_rejects_a_z_sequence_at_another_exponent():
+    t = np.linspace(0.01, 1000.0, 1000)
+    traj = _gap_traj(t, t**-2.0)
+    with pytest.raises(ValueError, match="exponent 1.0, the regime's is 2.0"):
+        verify_rate(traj, theoretical_rate(2.0, 2.0), z_sequence(traj, 1.0))
 
 
 def test_verify_rate_needs_a_decade_of_tail():
     t = np.linspace(1.0, 5.0, 1000)
     with pytest.raises(ValueError):
-        verify_rate(_gap_traj(t, t**-1.0), theoretical_rate(1.0, 2.0))
+        _verify(_gap_traj(t, t**-1.0), theoretical_rate(1.0, 2.0))
 
 
 def test_quadratic_rate_matches_alpha_and_beats_exponential_model():
@@ -293,7 +305,7 @@ def test_verify_rate_fits_the_decade_below_the_cap_on_a_sharp_scheme_run():
     assert traj.t[-1] > cap
     capped = fit_series(traj.t, traj.gap, (cap / 10.0, cap)).exponent
     assert capped != fit_series(traj.t, traj.gap).exponent
-    assert verify_rate(traj, theoretical_rate(1.0, 1.5)).fitted == capped
+    assert _verify(traj, theoretical_rate(1.0, 1.5)).fitted == capped
 
 
 @pytest.mark.parametrize("run, gamma", [
@@ -309,5 +321,5 @@ def test_verify_rate_fits_the_decade_below_the_cap_on_a_sharp_scheme_run():
 ], ids=["rk4", "gamma3-scheme", "short-scheme"])
 def test_verify_rate_uses_the_relative_window_elsewhere(run, gamma):
     traj = run()
-    verdict = verify_rate(traj, theoretical_rate(traj.alpha, gamma))
+    verdict = _verify(traj, theoretical_rate(traj.alpha, gamma))
     assert verdict.fitted == fit_series(traj.t, traj.gap).exponent
