@@ -12,7 +12,7 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Tuple, Union
 
-from .dynamics import MODES, _ode_t0
+from .dynamics import MODES
 from .objectives import ObjectiveSpec, parse_objective
 from .rates import scheme_fit_cap
 
@@ -51,14 +51,11 @@ class ExperimentConfig:
         return parse_objective(self.objective)
 
     def warnings(self) -> Tuple[str, ...]:
-        out = []
-        obj = self.build_objective()
-        if self.mode == "nesterov" and obj.nominal_gamma < 2.0:
-            out.append(
-                f"objective {self.objective!r} has gamma < 2 (gradient not Lipschitz "
-                "near the minimizer); prox-nesterov is the recommended mode"
-            )
-        return tuple(out)
+        mode = MODES[self.mode]
+        if mode.is_scheme and not mode.prox and self.build_objective().nominal_gamma < 2.0:
+            return (f"objective {self.objective!r} has gamma < 2 (gradient not Lipschitz "
+                    "near the minimizer); prox-nesterov is the recommended mode",)
+        return ()
 
 
 def resolve_mode(mode: Optional[str], obj: ObjectiveSpec) -> str:
@@ -173,31 +170,30 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
             f"steps // stride + 2 = {cfg.steps // cfg.stride + 2} records exceed "
             f"{MAX_RECORDS}; raise stride or lower steps"
         )
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES} or 'auto', got {cfg.mode!r}")
-    if cfg.mode == "prox-nesterov" and obj.prox is None:
-        raise ConfigError(f"mode prox-nesterov needs a prox, {cfg.objective!r} has none")
-    if cfg.mode == "prox-nesterov" and cfg.h > MAX_PROX_STEP:
-        raise ConfigError(f"prox-nesterov needs h <= {MAX_PROX_STEP:g}, got {cfg.h:g}")
-    if cfg.mode == "prox-nesterov" and 0.0 < cfg.h < sys.float_info.min:
-        raise ConfigError(
-            f"prox-nesterov needs a normal h >= {sys.float_info.min:g}, got {cfg.h:g}"
-        )
-    if cfg.mode == "ode-rk4":
-        if cfg.dt <= 0.0 or cfg.t0 <= 0.0:
-            raise ConfigError("ode-rk4 requires dt > 0 and t0 > 0")
-        t0 = _ode_t0(cfg.t0, cfg.dt)  # where run_ode starts
-        horizon = t0 + cfg.steps * cfg.dt
-        if horizon < 10.0 * t0:
-            raise ConfigError(
-                f"ode-rk4 horizon {horizon:g} is below 10*max(t0, dt) = {10 * t0:g}; "
-                "rate verdicts need a longer run"
-            )
-    elif cfg.h <= 0.0:
-        raise ConfigError(f"h must be > 0, got {cfg.h}")
-    elif any(cfg.v0):
+    mode = MODES.get(cfg.mode)
+    if mode is None:
+        raise ConfigError(f"mode must be one of {tuple(MODES)} or 'auto', got {cfg.mode!r}")
+    key, step = mode.step_key, getattr(cfg, mode.step_key)
+    if mode.prox and obj.prox is None:
+        raise ConfigError(f"mode {cfg.mode} needs a prox, {cfg.objective!r} has none")
+    if mode.prox and step > MAX_PROX_STEP:
+        raise ConfigError(f"{cfg.mode} needs {key} <= {MAX_PROX_STEP:g}, got {step:g}")
+    if mode.prox and 0.0 < step < sys.float_info.min:
+        raise ConfigError(f"{cfg.mode} needs a normal {key} >= {sys.float_info.min:g}, "
+                          f"got {step:g}")
+    if step <= 0.0:
+        raise ConfigError(f"{key} must be > 0, got {step}")
+    try:
+        t0 = mode.start_time(cfg.t0, step)  # where the run starts
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    horizon = t0 + cfg.steps * mode.time_unit(step)
+    if horizon < 10.0 * t0:
+        raise ConfigError(f"{cfg.mode} horizon {horizon:g} is below 10 times its start time, "
+                          f"{10 * t0:g}; rate verdicts need a longer run")
+    if mode.is_scheme and any(cfg.v0):
         raise ConfigError(f"{cfg.mode} starts from rest; v0 must be zero, got {list(cfg.v0)}")
-    elif obj.nominal_gamma <= 2.0:
+    if mode.is_scheme and obj.nominal_gamma <= 2.0:
         _check_fit_window(cfg)
     if len(cfg.x0) != obj.dim or len(cfg.v0) != obj.dim:
         raise ConfigError(

@@ -2,12 +2,15 @@
 proximal steps, time map t_n = n*sqrt(h)) and a fixed-step RK4 integrator of
 the damped second-order flow  x'' + (alpha/t) x' + grad F(x) = 0.
 
-Both dynamics step through one driver loop (_drive), written once for both
-point forms (objectives.as_point): Python floats in dimension 1, where a step
-costs a small fraction of the array form's, and float arrays otherwise.  Each
-run compiles the steps of one record interval from its dynamics' template: a
-1-D catalog gradient or closed-form power prox is inlined into the scheme's
-as its expression, any other step calls the objective's gradient or prox.
+Every rule that depends on the mode is one entry of MODES, which run,
+run_scheme and run_ode (through _run) and the other modules read.  All
+dynamics step through one driver loop (_drive), written once for both point
+forms (objectives.as_point): Python floats in dimension 1, where a step
+costs a small fraction of the array form's, and float arrays otherwise.
+Each run compiles the steps of one record interval from its dynamics'
+template: a 1-D catalog gradient or closed-form power prox is inlined into
+the scheme's as its expression, any other step calls the objective's
+gradient or prox.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -16,13 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .objectives import ObjectiveSpec, as_point, prox_expr
-
-MODES = ("nesterov", "prox-nesterov", "ode-rk4")
 
 # Steps whose coefficients (the scheme's extrapolation factors, RK4's step
 # start times) _drive computes in one numpy pass; the coefficient memory of a
@@ -99,17 +100,17 @@ class Trajectory:
 
     @property
     def is_scheme(self) -> bool:
-        return self.mode != "ode-rk4"
+        return MODES[self.mode].is_scheme
 
     def __len__(self) -> int:
         return len(self.n)
 
 
 def record_times(mode: str, step: float, t0: float, n: np.ndarray) -> np.ndarray:
-    """The times of records ``n``: t0 + n*sqrt(h) for the scheme (t0 = 0)
-    and t0 + n*dt for the integrator, computed from the index (no
-    accumulated drift)."""
-    return t0 + n * (step if mode == "ode-rk4" else math.sqrt(step))
+    """The times of records ``n``, t0 + n * MODES[mode].time_unit(step):
+    n*sqrt(h) for the scheme (t0 = 0) and t0 + n*dt for the integrator,
+    computed from the index (no accumulated drift)."""
+    return t0 + n * MODES[mode].time_unit(step)
 
 
 def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
@@ -125,12 +126,6 @@ def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
     return (np.concatenate((n, tail)), np.concatenate((x, np.repeat(x[-1:], k, axis=0))),
             np.concatenate((v, np.repeat(v[-1:], k, axis=0))),
             np.concatenate((gap, np.full(k, gap[-1]))))
-
-
-def _ode_t0(t0: float, dt: float) -> float:
-    """The start time of run_ode: t0 clamped up to dt, so that no RK4 stage
-    samples the damping alpha/t near its singularity at t = 0."""
-    return max(t0, dt)
 
 
 def _point_form(dim: int):
@@ -320,23 +315,70 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
         return rec.trajectory(error, velocity, **fields)
 
 
-def _start_point(caller: str, name: str, coords, dim: int):
-    """``coords`` in point form; raises ValueError when one is not finite."""
-    p = as_point(coords, dim)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{caller} requires a finite {name}, got {coords!r}")
-    return p
+def _scheme_drive(mode: Mode, obj: ObjectiveSpec, alpha: float, h: float, t0: float, x, v):
+    """_drive's (interval, coefficients, state, velocity) for the scheme:
+    factors n/(n+alpha), (x_n, x_{n-1}) at rest at x, the divided difference."""
+    sqrt_h = math.sqrt(h)
+    return (_interval_kernel(obj, h, mode.prox), lambda ns: ns / (ns + alpha), (x, x),
+            lambda x, xp: (x - xp) / sqrt_h)
 
 
-def run_scheme(
-    obj: ObjectiveSpec,
-    alpha: float,
-    h: float,
-    steps: int,
-    x0,
-    stride: int = 100,
-    use_prox: bool = False,
-) -> Trajectory:
+def _flow_drive(mode: Mode, obj: ObjectiveSpec, alpha: float, dt: float, t0: float, x, v):
+    """_drive's (interval, coefficients, state, velocity) for RK4: step start
+    times t0 + k*dt, the state (x, v), and v."""
+    return _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), lambda x, v: v
+
+
+def _flow_start(t0: float, dt: float) -> float:
+    """t0 clamped up to dt, so that no RK4 stage samples the damping alpha/t
+    near its singularity at t = 0; ValueError unless t0 > 0."""
+    if not t0 > 0.0:
+        raise ValueError(f"ode-rk4 requires t0 > 0, got {t0}")
+    return max(t0, dt)
+
+
+@dataclass(frozen=True)
+class Mode:
+    """Every rule of one dynamics that depends on its mode."""
+
+    name: str
+    step_key: str       # the config key of the step: h or dt
+    is_scheme: bool     # starts from rest (x_{-1} = x0) and may stop at a fixed point
+    prox: bool          # takes proximal steps, so needs the objective's prox
+    time_unit: Callable[[float], float]          # record n is at t0 + n*time_unit(step)
+    start_time: Callable[[float, float], float]  # (t0, step) -> the t0 a run starts at
+    drive: Callable     # (mode, obj, alpha, step, t0, x, v) -> the _scheme_drive tuple
+
+
+MODES = {m.name: m for m in (
+    Mode("nesterov", "h", True, False, math.sqrt, lambda t0, h: 0.0, _scheme_drive),
+    Mode("prox-nesterov", "h", True, True, math.sqrt, lambda t0, h: 0.0, _scheme_drive),
+    Mode("ode-rk4", "dt", False, False, lambda dt: dt, _flow_start, _flow_drive),
+)}
+
+
+def _run(caller: str, entry: Mode, obj: ObjectiveSpec, alpha: float, step: float,
+         t0: float, steps: int, x0, v0, stride: int) -> Trajectory:
+    """The one path of run, run_scheme and run_ode (``caller``, named in
+    errors) to _drive: checks the arguments, then steps the dynamics of
+    ``entry`` from (x0, v0) at its start time."""
+    if alpha <= 0.0 or step <= 0.0 or steps < 1 or stride < 1:
+        raise ValueError(
+            f"{caller} requires alpha > 0, {entry.step_key} > 0, steps >= 1, stride >= 1")
+    if entry.prox and obj.prox is None:
+        raise ValueError(f"objective {obj.name} exposes no prox")
+    t0 = entry.start_time(t0, step)
+    x, v = (as_point(p, obj.dim) for p in (x0, np.zeros(obj.dim) if v0 is None else v0))
+    for name, p, coords in (("x0", x, x0), ("v0", v, v0)):
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"{caller} requires a finite {name}, got {coords!r}")
+    interval, coefficients, state, velocity = entry.drive(entry, obj, alpha, step, t0, x, v)
+    return _drive(obj, interval, coefficients, state, steps, stride, velocity,
+                  fixed_points=entry.is_scheme, mode=entry.name, alpha=alpha, step=step, t0=t0)
+
+
+def run_scheme(obj: ObjectiveSpec, alpha: float, h: float, steps: int, x0,
+               stride: int = 100, use_prox: bool = False) -> Trajectory:
     """Run the discrete scheme from rest (x_prev = x_curr = x0).
 
     Each step extrapolates with factor n/(n+alpha), then takes a gradient
@@ -358,29 +400,12 @@ def run_scheme(
     filled with x_n and the velocity +0.0 without stepping, and the
     trajectory is the one that stepping to the end would have recorded.
     """
-    if alpha <= 0.0 or h <= 0.0 or steps < 1 or stride < 1:
-        raise ValueError("run_scheme requires alpha > 0, h > 0, steps >= 1, stride >= 1")
-    if use_prox and obj.prox is None:
-        raise ValueError(f"objective {obj.name} exposes no prox")
-    sqrt_h = math.sqrt(h)
-    x = _start_point("run_scheme", "x0", x0, obj.dim)
-    return _drive(
-        obj, _interval_kernel(obj, h, use_prox), lambda ns: ns / (ns + alpha), (x, x),
-        steps, stride, lambda x, xp: (x - xp) / sqrt_h, fixed_points=True,
-        mode="prox-nesterov" if use_prox else "nesterov", alpha=alpha, step=h, t0=0.0,
-    )
+    mode = MODES["prox-nesterov" if use_prox else "nesterov"]
+    return _run("run_scheme", mode, obj, alpha, h, 0.0, steps, x0, None, stride)
 
 
-def run_ode(
-    obj: ObjectiveSpec,
-    alpha: float,
-    dt: float,
-    t0: float,
-    steps: int,
-    x0,
-    v0=None,
-    stride: int = 100,
-) -> Trajectory:
+def run_ode(obj: ObjectiveSpec, alpha: float, dt: float, t0: float, steps: int, x0,
+            v0=None, stride: int = 100) -> Trajectory:
     """Integrate the flow with classical fixed-step RK4 from (x0, v0) at t0.
 
     The system is x' = v, v' = -(alpha/t) v - grad F(x).  t0 is clamped up
@@ -393,40 +418,13 @@ def run_ode(
     depends on t unless every stage velocity is zero, which the state (x, v)
     does not show.
     """
-    if alpha <= 0.0 or dt <= 0.0 or steps < 1 or stride < 1:
-        raise ValueError("run_ode requires alpha > 0, dt > 0, steps >= 1, stride >= 1")
-    if t0 <= 0.0:
-        raise ValueError(f"run_ode requires t0 > 0, got {t0}")
-    t0 = _ode_t0(t0, dt)
-    x = _start_point("run_ode", "x0", x0, obj.dim)
-    v = _start_point("run_ode", "v0", np.zeros(obj.dim) if v0 is None else v0, obj.dim)
-    return _drive(
-        obj, _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), steps, stride,
-        lambda x, v: v, mode="ode-rk4", alpha=alpha, step=dt, t0=t0,
-    )
+    return _run("run_ode", MODES["ode-rk4"], obj, alpha, dt, t0, steps, x0, v0, stride)
 
 
 def run(config, obj: ObjectiveSpec) -> Trajectory:
     """Run one experiment described by an ExperimentConfig."""
-    if config.mode not in MODES:
+    entry = MODES.get(config.mode)
+    if entry is None:
         raise ValueError(f"unknown mode {config.mode!r}")
-    if config.mode == "ode-rk4":
-        return run_ode(
-            obj,
-            alpha=config.alpha,
-            dt=config.dt,
-            t0=config.t0,
-            steps=config.steps,
-            x0=config.x0,
-            v0=config.v0,
-            stride=config.stride,
-        )
-    return run_scheme(
-        obj,
-        alpha=config.alpha,
-        h=config.h,
-        steps=config.steps,
-        x0=config.x0,
-        stride=config.stride,
-        use_prox=(config.mode == "prox-nesterov"),
-    )
+    return _run("run", entry, obj, config.alpha, getattr(config, entry.step_key), config.t0,
+                config.steps, config.x0, config.v0, config.stride)

@@ -107,8 +107,9 @@ def write_records(traj: Trajectory, path: str) -> None:
 
 def _trajectory(npz) -> Trajectory:
     """The Trajectory of the records.npz members ``npz``; ValueError when a
-    member has the wrong dtype or shape, a run field a value no run has, or
-    tail does not continue the records (see _filled)."""
+    member has the wrong dtype or shape, a run field a value no run has (t0
+    included: the start time of its mode), or tail does not continue the
+    records (see _filled)."""
     m = {k: npz[k] for k in _MEMBERS}
     N = len(m["n"]) if m["n"].ndim == 1 and m["n"].size else -1  # -1: no shape matches
     D = m["x"].shape[1] if m["x"].ndim == 2 and m["x"].shape[1] else -1
@@ -119,9 +120,10 @@ def _trajectory(npz) -> Trajectory:
                              f"{dtype} of shape ({', '.join(shape)}) with N, D >= 1")
     mode, alpha, step, t0 = str(m["mode"]), float(m["alpha"]), float(m["step"]), float(m["t0"])
     finite = all(map(math.isfinite, (alpha, step, t0)))
-    if mode not in MODES or not (finite and alpha > 0.0 and step > 0.0):
+    if (mode not in MODES or not (finite and alpha > 0.0 and step > 0.0)
+            or MODES[mode].start_time(t0, step) != t0):
         raise ValueError(f"run fields mode {mode!r}, alpha {alpha}, step {step}, t0 {t0}: "
-                         f"want a mode of {MODES}, finite alpha > 0, step > 0 and t0")
+                         f"want a mode of {tuple(MODES)}, finite alpha > 0, step > 0 and its t0")
     n, x, v, gap = m["n"], m["x"], m["v"], m["gap"]
     first_filled = None
     if "tail" in npz.files:
@@ -150,7 +152,7 @@ def _filled(tail: np.ndarray, n: np.ndarray) -> Tuple[int, int]:
 def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
     """The Trajectory of a cell directory's records.npz, and the objective
     and rate regime of its verdict.json; ValueError when either does not
-    load."""
+    load, or the two disagree on alpha."""
     import zipfile  # numpy has loaded it: np.load raises its BadZipFile
 
     try:
@@ -158,6 +160,9 @@ def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
             traj = _trajectory(npz)
         with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
             verdict = json.load(fh)
+        if verdict["alpha"] != traj.alpha:
+            raise ValueError(f"verdict.json has alpha {verdict['alpha']!r}, records.npz "
+                             f"{traj.alpha!r}")
         return traj, verdict["objective"], theoretical_rate(verdict["alpha"], verdict["gamma"])
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot load cell {celldir}: {type(exc).__name__}: {exc}") from None

@@ -1,6 +1,8 @@
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from inertial_rates.config import config_from_dict
 from inertial_rates.dynamics import _FACTOR_BLOCK as _BLOCK
-from inertial_rates.dynamics import MODES, run, run_ode, run_scheme
+from inertial_rates import dynamics
+from inertial_rates.dynamics import MODES, record_times, run, run_ode, run_scheme
 from inertial_rates.objectives import (
     ObjectiveSpec,
     make_least_squares,
@@ -282,21 +285,53 @@ def test_scheme_ode_consistency_improves_with_h():
     assert d1 / d2 >= 1.5
 
 
-def test_run_dispatches_on_config_mode():
+@pytest.mark.parametrize("mode", MODES)
+def test_run_dispatches_on_config_mode(mode):
+    """run steps the dynamics of the config's mode with the step of its
+    entry's step key, as run_scheme or run_ode would, from the entry's start
+    time and with the record times of record_times."""
     cfg = config_from_dict({
-        "objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 100,
-        "mode": "nesterov", "h": 1e-3, "x0": [1.0], "stride": 10,
+        "objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 1000, "mode": mode,
+        "h": 1e-3, "dt": 2e-3, "t0": 0.1, "x0": [1.0], "stride": 100,
     })
-    traj = run(cfg, cfg.build_objective())
-    assert traj.mode == "nesterov" and len(traj) == 11
+    entry, obj = MODES[mode], cfg.build_objective()
+    traj = run(cfg, obj)
+    step = 1e-3 if entry.is_scheme else 2e-3
+    assert (traj.mode, traj.step, len(traj)) == (mode, step, 11)
+    assert traj.t0 == entry.start_time(cfg.t0, step) == (0.0 if entry.is_scheme else 0.1)
+    assert np.array_equal(traj.t, record_times(mode, step, traj.t0, traj.n))
+    assert traj.t[-1] == pytest.approx(math.sqrt(1e-3) * 1000 if entry.is_scheme else 2.1)
+    direct = (run_scheme(obj, 6.0, 1e-3, 1000, 1.0, 100, entry.prox) if entry.is_scheme
+              else run_ode(obj, 6.0, 2e-3, 0.1, 1000, 1.0, 0.0, 100))
+    assert traj.x.tobytes() == direct.x.tobytes() and traj.v.tobytes() == direct.v.tobytes()
 
-    cfg = config_from_dict({
-        "objective": "power:gamma=2,dim=1", "alpha": 6.0, "steps": 1000,
-        "mode": "ode-rk4", "dt": 1e-3, "t0": 0.1, "x0": [1.0], "v0": [0.0],
-    })
-    traj = run(cfg, cfg.build_objective())
-    assert traj.mode == "ode-rk4"
-    assert traj.t[-1] == pytest.approx(1.1)
+
+def _mode_comparisons(source: str) -> list:
+    """The line of each comparison in ``source`` with a mode name among its
+    operands (a tuple of names included)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str) and c.value in MODES
+                    for side in (node.left, *node.comparators) for c in ast.walk(side))]
+
+
+def test_only_dynamics_compares_with_a_mode_name():
+    """Every rule that depends on the mode is an attribute of its MODES
+    entry: no other module of the package compares a value with a mode name
+    (returning one, as resolve_mode does, is not a comparison), and none
+    imports a private name of dynamics."""
+    assert _mode_comparisons('m != "ode-rk4"\nm in ("x", "nesterov")\nm == "auto"\n') == [1, 2]
+    found = {}
+    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
+        if path.name != "dynamics.py":
+            source = path.read_text(encoding="utf-8")
+            private = [a.name for node in ast.walk(ast.parse(source))
+                       if isinstance(node, ast.ImportFrom) and node.module == "dynamics"
+                       for a in node.names if a.name.startswith("_")]
+            lines = _mode_comparisons(source)
+            if lines or private:
+                found[path.name] = (lines, private)
+    assert found == {}
 
 
 def test_run_vector_dimension():

@@ -431,6 +431,24 @@ def test_export_exits_2_without_records_or_on_a_file_that_does_not_load(tmp_path
     assert not list(cell.glob("*.csv"))
 
 
+def test_export_exits_2_when_verdict_and_records_disagree_on_alpha(tmp_path, capsys):
+    """The regime of an export, and so the exponent of z.csv and the
+    Lyapunov parameters of energy.csv, comes from verdict.json: one whose
+    alpha is not the alpha of records.npz does not load."""
+    cell = tmp_path / "cell"
+    run_cell(config_from_dict(SMALL_RUN), str(cell))  # alpha 6
+    verdict = json.loads((cell / "verdict.json").read_text())
+    for alpha in (2.0, 6.000000000000001, "6"):
+        (cell / "verdict.json").write_text(json.dumps({**verdict, "alpha": alpha}))
+        with pytest.raises(ValueError, match="cannot load cell .*alpha"):
+            io.read_cell(str(cell))
+        assert main(["export", str(cell)]) == 2
+        assert "cannot load cell" in capsys.readouterr().err
+        assert not list(cell.glob("*.csv"))
+    (cell / "verdict.json").write_text(json.dumps(verdict))
+    assert main(["export", str(cell)]) == 0
+
+
 ROUND_TRIP_CELLS = {
     **{k: EXPORT_CELLS[k] for k in ("scheme-1d", "prox-freezes", "diverges-at-step-1")},
     "rk4-3d-clamped-t0": dict(EXPORT_CELLS["rk4-3d"], t0=1e-3),  # starts at dt = 1e-2
@@ -513,9 +531,10 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
 
 
 def _malformed(npz):
-    """(name, members) pairs: the members of a good records.npz of a run at
-    rest with one changed to what no run writes, or removed; a file without
-    tail is a run that never rests."""
+    """(name, members) pairs: the members of a good records.npz of a scheme
+    run at rest with one changed to what no run writes, or removed, or with
+    mode ode-rk4 and a t0 no RK4 run starts at (below its step); a file
+    without tail is a run that never rests."""
     m = dict(npz)
     first, stride, last = m["tail"].tolist()
     tails = ([first + stride, stride, last], [m["n"][-2], stride, last], [first, 0, last],
@@ -528,18 +547,22 @@ def _malformed(npz):
         ("x", m["x"].astype(np.float32)), ("mode", "gradient"), ("mode", np.float64(1.0)),
         ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan), ("alpha", "3"),
         ("step", 0.0), ("step", -1e-4), ("step", math.inf), ("step", np.array([1e-4])),
-        ("t0", math.nan), ("t0", -math.inf), ("error", None), ("error", 0.0),
+        ("t0", math.nan), ("t0", -math.inf), ("t0", 5.0), ("t0", -3.0),
+        ("error", None), ("error", 0.0),
         ("tail", m["tail"].astype(float)), ("tail", m["tail"].astype(np.int32)),
         ("tail", m["tail"][:2]), ("tail", m["tail"][None]),
         *(("tail", np.array(t, dtype=np.int64)) for t in tails),
     ))
     yield from ((f"no {k}", {j: v for j, v in m.items() if j != k}) for k in m if k != "tail")
+    yield from ((f"ode-rk4 at t0 {t0}", dict(m, mode="ode-rk4", t0=t0))
+                for t0 in (-1.0, 0.0, float(m["step"]) / 2))
 
 
 def test_export_exits_2_on_a_malformed_records_file_and_writes_nothing(tmp_path, capsys):
     """A records.npz member of the wrong dtype or shape, a run field with a
     value no run has (a mode not in MODES, alpha or step not finite and
-    positive, t0 not finite), or a tail that does not continue the stored
+    positive, t0 not the start time of its mode: 0 for the scheme, at least
+    the step for RK4), or a tail that does not continue the stored
     records (its first n not the last stored n, stride < 1, last n below
     first n, more than MAX_RECORDS records) is a ValueError of read_cell: export
     exits 2 and writes no CSV for the cell."""
@@ -547,7 +570,7 @@ def test_export_exits_2_on_a_malformed_records_file_and_writes_nothing(tmp_path,
     run_cell(config_from_dict(ROUND_TRIP_CELLS["prox-rests-off-stride"]), str(cell))
     with np.load(cell / "records.npz", allow_pickle=False) as npz:
         cases = list(_malformed(npz))
-    assert len(cases) == 43
+    assert len(cases) == 48
     for name, members in cases:
         np.savez(cell / "records.npz", **members)
         with pytest.raises(ValueError, match="cannot load cell"):

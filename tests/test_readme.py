@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from inertial_rates.config import config_from_dict
+from inertial_rates.dynamics import MODES
 from inertial_rates.gridrun import export, run_cell
 from inertial_rates.objectives import parse_objective
 
@@ -52,6 +53,18 @@ def test_readme_output_columns_match_the_files_run_cell_writes(tmp_path):
     for name in ("energy.csv", "z.csv"):
         header = (tmp_path / name).read_text().splitlines()[0]
         assert documented[name] == header, name
+
+
+def test_readme_mode_lists_are_the_modes_table():
+    """The modes that records.npz's `mode` member lists, and the rows of the
+    "Modes" table, are dynamics.MODES in its order, with each entry's step
+    key and prox flag."""
+    text = README.read_text(encoding="utf-8")
+    line = re.search(r"^  - `mode` — text: (.*)$", text, re.M).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", line)) == tuple(MODES)
+    section = text[text.index("### Modes"):text.index("### Outputs per run")]
+    rows = re.findall(r"^\| `([^`]+)` \| `(\w+)` \|.* \| (yes|no) \|$", section, re.M)
+    assert rows == [(m, e.step_key, "yes" if e.prox else "no") for m, e in MODES.items()]
 
 
 def test_readme_records_members_are_the_ones_run_cell_writes(tmp_path):
