@@ -106,8 +106,8 @@ def _cmd_run(args) -> int:
     print(f"theoretical  {num('theoretical')}")
     print(f"fitted       {num('fitted')} +- {num('fitted_err', '.2g')}")
     print(f"z tail ratio {num('z_tail_ratio', '.4g')}")
-    print(f"boundedness  {'pass' if v['boundedness'] else 'FAIL'}")
-    print(f"nonvanishing {'pass' if v['nonvanishing'] else 'FAIL'}")
+    for key in ("boundedness", "nonvanishing"):  # None: not assessed
+        print(f"{key:<12} {'n/a' if v.get(key) is None else 'pass' if v[key] else 'FAIL'}")
     print(f"upper bound  {v['upper_bound']}, lower bound {v['lower_bound']}")
     if v.get("verdict_error"):
         print(f"verdict      not assessed: {v['verdict_error']}", file=sys.stderr)

@@ -12,9 +12,9 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional, Tuple, Union
 
-from .dynamics import MODES
+from .dynamics import MODES, Mode
 from .objectives import ObjectiveSpec, parse_objective
-from .rates import scheme_fit_cap
+from .rates import verdict_windows
 
 # recorded samples per run (steps // stride + 2 at most); each costs memory
 # whether or not the run steps to the end
@@ -193,8 +193,7 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
                           f"{10 * t0:g}; rate verdicts need a longer run")
     if mode.is_scheme and any(cfg.v0):
         raise ConfigError(f"{cfg.mode} starts from rest; v0 must be zero, got {list(cfg.v0)}")
-    if mode.is_scheme and obj.nominal_gamma <= 2.0:
-        _check_fit_window(cfg)
+    _check_fit_window(cfg, mode, obj.nominal_gamma, step, t0)
     if len(cfg.x0) != obj.dim or len(cfg.v0) != obj.dim:
         raise ConfigError(
             f"x0/v0 must have dim {obj.dim} for {cfg.objective!r}, "
@@ -202,22 +201,29 @@ def validate_config(cfg: ExperimentConfig, obj: Optional[ObjectiveSpec] = None) 
         )
 
 
-def _check_fit_window(cfg: ExperimentConfig) -> None:
-    """Reject a run that verify_rate would fail for its stride alone: a scheme
-    run on a sharp objective that passes scheme_fit_cap(h), with a z tail
-    spanning a decade, but fewer than the 10 record times fit_series needs in
-    the window verify_rate fits, [cap/10, cap], where stride 1 would give 10."""
-    sqrt_h, cap = math.sqrt(cfg.h), scheme_fit_cap(cfg.h)
-    t_first, t_end = min(cfg.stride, cfg.steps) * sqrt_h, cfg.steps * sqrt_h
-    l0, l1 = math.log10(t_first), math.log10(t_end)  # as verify_rate spans its z tail
+def _check_fit_window(cfg: ExperimentConfig, mode: Mode, gamma: float, step: float,
+                      t0: float) -> None:
+    """Reject a run that verify_rate would fail for its stride alone: one
+    with a fit window and a z tail spanning a decade (rates.verdict_windows,
+    over its record times at t > 0), but fewer than the 10 record times
+    fit_series needs in that window, where stride 1 would give 10."""
+    unit = mode.time_unit(step)
+    t_first = t0 if t0 > 0.0 else min(cfg.stride, cfg.steps) * unit  # first record at t > 0
+    try:
+        window = verdict_windows(mode.is_scheme, gamma, step, t_first, t0 + cfg.steps * unit)[1]
+    except ValueError:  # a tail under a decade, which verify_rate rejects at any stride
+        return
+    if window is None:
+        return
+    lo, hi = window
 
-    def records(stride: int) -> int:  # record j*stride is at t = j*stride*sqrt(h)
-        first = math.floor(cap / 10.0 / (stride * sqrt_h))  # the window starts 0-2 later
-        return sum(cap / 10.0 <= j * stride * sqrt_h <= cap for j in range(first, first + 12))
+    def records(stride: int) -> int:  # a scheme's record j*stride is at t = j*stride*unit
+        first = math.floor(lo / (stride * unit))  # the window starts 0-2 later
+        return sum(lo <= j * stride * unit <= hi for j in range(first, first + 12))
 
-    if cap < t_end and l1 - 0.5 * (l0 + l1) >= 1.0 and records(cfg.stride) < 10 <= records(1):
+    if records(cfg.stride) < 10 <= records(1):
         raise ConfigError(f"stride {cfg.stride} leaves {records(cfg.stride)} record(s) in "
-                          f"[{cap / 10:g}, {cap:g}], the window verify_rate fits on a gamma <= 2 "
+                          f"[{lo:g}, {hi:g}], the window verify_rate fits on a gamma <= 2 "
                           "objective below scheme_fit_cap(h); it needs 10, so lower stride")
 
 

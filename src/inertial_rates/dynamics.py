@@ -8,9 +8,9 @@ dynamics step through one driver loop (_drive), written once for both point
 forms (objectives.as_point): Python floats in dimension 1, where a step
 costs a small fraction of the array form's, and float arrays otherwise.
 Each run compiles the steps of one record interval from its dynamics'
-template: a 1-D catalog gradient or closed-form power prox is inlined into
-the scheme's as its expression, any other step calls the objective's
-gradient or prox.
+template: a gradient or prox that carries its expression (objectives.inlined:
+the 1-D catalog gradients and closed-form power proxes) is inlined into the
+scheme's as that text, and any other step calls the objective's operation.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .objectives import ObjectiveSpec, as_point, prox_expr
+from .objectives import ObjectiveSpec, as_point, inlined
 
 # Steps whose coefficients (the scheme's extrapolation factors, RK4's step
 # start times) _drive computes in one numpy pass; the coefficient memory of a
@@ -160,26 +160,20 @@ def _compile(template: str, names: dict, label: str):
 
 def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
     """``interval(factors, x, xp) -> (x, xp)``: the steps of run_scheme with
-    extrapolation factors ``factors`` from the state (x, xp).  The gradient
-    step y - h*grad(y) inlines ``obj.gradient_expr`` when ``obj.gradient`` is
-    the function built from it, and calls ``obj.gradient`` otherwise; the
-    proximal step inlines the ProxExpr that ``obj.prox`` is built from, with
-    its terms in h computed here, once, and calls ``obj.prox`` when it has
-    none.  An inlined step evaluates the same operations as the call, so it
-    gives the same bits."""
-    names = {"h": h}
-    if use_prox:
-        expr = prox_expr(obj.prox)
-        if expr is not None:
-            step = expr.text
-            names.update(expr.bind(h))
-        else:
-            step, names["prox"] = "prox(h, y)", obj.prox
-    elif obj.gradient_expr is not None and obj.gradient_expr.function is obj.gradient:
-        step = f"y - h * ({obj.gradient_expr.text})"
-        names.update(obj.gradient_expr.names)
+    extrapolation factors ``factors`` from the state (x, xp).  The step
+    y - h*grad(y), or prox(h, y) with ``use_prox``, inlines the Expr its
+    operation carries (objectives.inlined), with the terms in h computed
+    here, once, so it gives the call's bits; an operation with none is
+    called."""
+    op = obj.prox if use_prox else obj.gradient
+    expr = inlined(op)
+    if expr is not None:
+        text, names = expr.text, expr.bind(h)
+    elif use_prox:
+        text, names = "prox(h, y)", {"h": h, "prox": op}
     else:
-        step, names["grad"] = "y - h * grad(y)", obj.gradient
+        text, names = "grad(y)", {"h": h, "grad": op}
+    step = text if use_prox else f"y - h * ({text})"
     return _compile(_INTERVAL.format(step=step), names, "run_scheme")
 
 

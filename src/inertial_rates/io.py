@@ -108,8 +108,8 @@ def write_records(traj: Trajectory, path: str) -> None:
 def _trajectory(npz) -> Trajectory:
     """The Trajectory of the records.npz members ``npz``; ValueError when a
     member has the wrong dtype or shape, a run field a value no run has (t0
-    included: the start time of its mode), or tail does not continue the
-    records (see _filled)."""
+    included: the start time of its mode), or tail is present though the
+    mode never rests, or does not continue the records (see _filled)."""
     m = {k: npz[k] for k in _MEMBERS}
     N = len(m["n"]) if m["n"].ndim == 1 and m["n"].size else -1  # -1: no shape matches
     D = m["x"].shape[1] if m["x"].ndim == 2 and m["x"].shape[1] else -1
@@ -127,6 +127,8 @@ def _trajectory(npz) -> Trajectory:
     n, x, v, gap = m["n"], m["x"], m["v"], m["gap"]
     first_filled = None
     if "tail" in npz.files:
+        if not MODES[mode].is_scheme:
+            raise ValueError(f"member tail in a {mode} file: only a scheme run comes to rest")
         first_filled = N - 1
         n, x, v, gap = fill_records(n, x, v, gap, *_filled(npz["tail"], n))
     return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n),

@@ -5,10 +5,10 @@ Catalog entries are 1-D by default; power objectives extend radially to R^n.
 Points are plain floats in dimension 1 and numpy arrays otherwise (as_point
 is the one definition of that form).  The simulation loops are written once
 for both forms, so dimension 1 runs free of array overhead.  The 1-D power
-and plateau gradients (GradientExpr) and the closed-form 1-D power proxes
-(ProxExpr) are stated as one expression each, which both the public callable
-and the scheme's stepping loop are built from.  Catalog parameters must be
-finite.
+and plateau gradients and the closed-form 1-D power proxes are stated as one
+expression each (an Expr, built by _expr): the public callable is compiled
+from it and carries it (inlined), and the scheme's stepping loop inlines the
+same text.  Catalog parameters must be finite.
 """
 from __future__ import annotations
 
@@ -28,25 +28,50 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
-class GradientExpr:
-    """A 1-D gradient stated as one Python expression in the point ``y``.
+class Expr:
+    """A 1-D gradient or prox stated as one Python expression ``text`` in
+    the point ``y``; _expr compiles ``function`` from it, and the function
+    carries it (inlined).
 
-    ``names`` holds, as (name, value) pairs, every constant and function the
-    text refers to besides builtins: numbers reach the code through these
-    names only, never as text, except the small integer gamma of a product
-    (_PRODUCT_GAMMAS).  ``function`` is ``lambda y: <text>`` compiled
-    with ``names`` as its globals.  dynamics.run_scheme inlines the text into
-    its stepping loop when an objective's ``gradient`` is this very function,
-    so the callable and the inlined step evaluate the same operations.
-    """
+    ``terms`` holds, as (name, text) pairs in order, the terms that depend
+    on the step ``h`` alone, each in ``h``, ``names`` and the terms before
+    it; a gradient has none.  ``names`` holds, as (name, value) pairs, every
+    constant and function the texts refer to besides builtins: numbers reach
+    the code through these names only, never as text, except the small
+    integer gamma of a product (_PRODUCT_GAMMAS).  dynamics.run_scheme binds
+    the terms once per run (``bind``) and inlines ``text`` in place of a
+    call to ``function``: both evaluate the same operations."""
 
     text: str
+    terms: tuple
     names: tuple
-    function: Callable[[float], float]
+    function: Callable
+
+    def bind(self, h: float) -> dict:
+        """The globals ``text`` takes at step ``h``: ``names``, ``h`` and the
+        terms, computed by the statements ``function`` runs."""
+        scope = {**dict(self.names), "h": h}
+        exec("\n".join(f"{name} = {text}" for name, text in self.terms), scope)
+        del scope["__builtins__"]
+        return scope
 
 
-def _gradient_expr(text: str, **names) -> GradientExpr:
-    return GradientExpr(text, tuple(names.items()), eval("lambda y: " + text, dict(names)))
+def _expr(params: str, text: str, terms: tuple = (), **names) -> Expr:
+    """The Expr of ``def f(<params>): <terms>; return <text>`` with ``names``
+    as globals; params are ``"y"`` for a gradient, ``"h, y"`` for a prox."""
+    body = "".join(f"    {name} = {term}\n" for name, term in terms)
+    scope = dict(names)
+    exec(f"def f({params}):\n{body}    return {text}\n", scope)
+    expr = Expr(text, terms, tuple(names.items()), scope["f"])
+    expr.function.expr = expr
+    return expr
+
+
+def inlined(fn) -> Optional[Expr]:
+    """The Expr that _expr compiled ``fn`` from, or None.  A wrapper that
+    copies fn's attributes (functools.wraps) has none: a run calls it."""
+    expr = getattr(fn, "expr", None)
+    return expr if isinstance(expr, Expr) and expr.function is fn else None
 
 
 # The integer gammas whose 1-D power gradient is stated as a product
@@ -75,8 +100,6 @@ class ObjectiveSpec:
     ``argmin_x 0.5*|x - y|^2 + h*F(x)`` and may be absent.
     ``minimizer_hint`` is a point, or an ``(lo, hi)`` interval when the
     minimizer set is not a single point; ``reference_point`` picks from it.
-    ``gradient_expr``, when present, is the expression ``gradient`` was
-    built from.
     """
 
     name: str
@@ -88,7 +111,6 @@ class ObjectiveSpec:
     distance_to_minset: Callable[[Point], float]
     nominal_gamma: float
     prox: Optional[Callable[[float, Point], Point]] = None
-    gradient_expr: Optional[GradientExpr] = None
 
 
 @dataclass(frozen=True)
@@ -155,41 +177,6 @@ def prox_power(gamma: float, h: float, y: float) -> float:
     return _power_prox(gamma)(h, y)
 
 
-@dataclass(frozen=True)
-class ProxExpr:
-    """A 1-D prox stated as one Python expression in the point ``y``.
-
-    ``terms`` holds, as (name, text) pairs in order, the terms that depend
-    on the step ``h`` alone, each in ``h``, ``names`` and the terms before
-    it; ``names`` is as GradientExpr's.  ``function`` is ``prox(h, y)``,
-    which computes the terms and returns ``text``, compiled with ``names``
-    as its globals.  dynamics.run_scheme computes the terms once per run
-    (``bind``) and inlines the text into its stepping loop when an
-    objective's ``prox`` is this very function (prox_expr), so the callable
-    and the inlined step evaluate the same operations.
-    """
-
-    text: str
-    terms: tuple
-    names: tuple
-    function: Callable[[float, float], float]
-
-    def bind(self, h: float) -> dict:
-        """The globals ``text`` takes at step ``h``: ``names``, ``h`` and the
-        terms, computed by the statements ``function`` runs."""
-        scope = {**dict(self.names), "h": h}
-        exec("\n".join(f"{name} = {text}" for name, text in self.terms), scope)
-        del scope["__builtins__"]
-        return scope
-
-
-def _prox_expr(text: str, terms: tuple, **names) -> ProxExpr:
-    body = "".join(f"    {name} = {term}\n" for name, term in terms)
-    scope = dict(names)
-    exec(f"def prox(h, y):\n{body}    return {text}\n", scope)
-    return ProxExpr(text, terms, tuple(names.items()), scope["prox"])
-
-
 # The closed-form proxes of prox_power, by gamma; each maps +-0.0 to +0.0.
 # min(a, b) and max(a, b) are written as the conditionals the builtins
 # evaluate, ``b if b < a else a`` and ``b if b > a else a``, so NaN and
@@ -200,31 +187,23 @@ def _prox_expr(text: str, terms: tuple, **names) -> ProxExpr:
 # 4*ay.
 _PROX_EXPRS = {
     # max(abs(y) - h, 0.0)
-    1.0: _prox_expr("0.0 if y == 0.0 else copysign(0.0 if 0.0 > (d := abs(y) - h) else d, y)",
-                    (), copysign=math.copysign),
+    1.0: _expr("h, y",
+               "0.0 if y == 0.0 else copysign(0.0 if 0.0 > (d := abs(y) - h) else d, y)",
+               copysign=math.copysign),
     # a cancellation-safe root s; the exact prox is at most |y|, and s*s can
     # round above it, so min(s*s, ay)
-    1.5: _prox_expr("0.0 if (ay := abs(y)) == 0.0 else copysign("
-                    "ay if (ss := (s := ay / (half_b + sqrt(quarter_bb + ay))) * s) > ay "
-                    "else ss, y)",
-                    (("b", "1.5 * h"), ("half_b", "0.5 * b"), ("quarter_bb", "0.25 * b * b")),
-                    copysign=math.copysign, sqrt=math.sqrt),
-    2.0: _prox_expr("0.0 if y == 0.0 else y / shrink", (("shrink", "1.0 + 2.0 * h"),)),
+    1.5: _expr("h, y", "0.0 if (ay := abs(y)) == 0.0 else copysign("
+               "ay if (ss := (s := ay / (half_b + sqrt(quarter_bb + ay))) * s) > ay "
+               "else ss, y)",
+               (("b", "1.5 * h"), ("half_b", "0.5 * b"), ("quarter_bb", "0.25 * b * b")),
+               copysign=math.copysign, sqrt=math.sqrt),
+    2.0: _expr("h, y", "0.0 if y == 0.0 else y / shrink", (("shrink", "1.0 + 2.0 * h"),)),
     # where c*ay overflows, u = sqrt(ay/(3h)) to within a relative 1e-154
-    3.0: _prox_expr("0.0 if (ay := abs(y)) == 0.0 else copysign("
-                    "sqrt(ay) / sqrt(c) if (q := c * ay) == inf "
-                    "else ay / (0.5 + sqrt(0.25 + q)), y)",
-                    (("c", "3.0 * h"),), copysign=math.copysign, sqrt=math.sqrt, inf=math.inf),
+    3.0: _expr("h, y", "0.0 if (ay := abs(y)) == 0.0 else copysign("
+               "sqrt(ay) / sqrt(c) if (q := c * ay) == inf "
+               "else ay / (0.5 + sqrt(0.25 + q)), y)",
+               (("c", "3.0 * h"),), copysign=math.copysign, sqrt=math.sqrt, inf=math.inf),
 }
-
-
-def prox_expr(prox) -> Optional[ProxExpr]:
-    """The ProxExpr whose function ``prox`` is, or None: only the catalog's
-    closed-form 1-D power proxes have one."""
-    for expr in _PROX_EXPRS.values():
-        if expr.function is prox:
-            return expr
-    return None
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,18 +333,16 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         raise ValueError(f"make_power requires dim >= 1, got {dim}")
     name = f"power:gamma={gamma:g},dim={dim}"
     prox1 = _power_prox(gamma)
-    expr = None
     if dim == 1:
         value = (lambda x: x * x) if gamma == 2.0 else (lambda x: abs(x) ** gamma)
         if gamma == 1.0:
             value = abs
-            expr = _gradient_expr("copysign(1.0, y) if y != 0.0 else 0.0",
-                                  copysign=math.copysign)
+            expr = _expr("y", "copysign(1.0, y) if y != 0.0 else 0.0", copysign=math.copysign)
         elif gamma in _PRODUCT_GAMMAS:
-            expr = _gradient_expr(_product(int(gamma)))
+            expr = _expr("y", _product(int(gamma)))
         else:
-            expr = _gradient_expr("copysign(gamma * abs(y) ** g1, y) if y != 0.0 else 0.0",
-                                  copysign=math.copysign, gamma=gamma, g1=gamma - 1.0)
+            expr = _expr("y", "copysign(gamma * abs(y) ** g1, y) if y != 0.0 else 0.0",
+                         copysign=math.copysign, gamma=gamma, g1=gamma - 1.0)
         gradient = expr.function
         prox = prox1
         dist = abs
@@ -393,7 +370,6 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         distance_to_minset=dist,
         nominal_gamma=gamma,
         prox=prox,
-        gradient_expr=expr,
     )
 
 
@@ -408,12 +384,11 @@ def make_plateau(gamma: float, a: float) -> ObjectiveSpec:
         return max(abs(x) - a, 0.0) ** gamma
 
     if gamma == 1.0:
-        expr = _gradient_expr("0.0 if abs(y) - a <= 0.0 else copysign(1.0, y)",
-                              copysign=math.copysign, a=a)
+        expr = _expr("y", "0.0 if abs(y) - a <= 0.0 else copysign(1.0, y)",
+                     copysign=math.copysign, a=a)
     else:
-        expr = _gradient_expr(
-            "0.0 if (e := abs(y) - a) <= 0.0 else copysign(gamma * e ** g1, y)",
-            copysign=math.copysign, a=a, gamma=gamma, g1=gamma - 1.0)
+        expr = _expr("y", "0.0 if (e := abs(y) - a) <= 0.0 else copysign(gamma * e ** g1, y)",
+                     copysign=math.copysign, a=a, gamma=gamma, g1=gamma - 1.0)
     prox1 = _power_prox(gamma)
 
     def prox(h, y):
@@ -432,7 +407,6 @@ def make_plateau(gamma: float, a: float) -> ObjectiveSpec:
         distance_to_minset=lambda x: max(abs(x) - a, 0.0),
         nominal_gamma=gamma,
         prox=prox,
-        gradient_expr=expr,
     )
 
 

@@ -232,17 +232,30 @@ def scheme_fit_cap(h: float) -> float:
     return SCHEME_FIT_BUDGET / math.sqrt(h)
 
 
+def verdict_windows(is_scheme: bool, gamma: float, step: float, t_first: float,
+                    t_last: float) -> Tuple[float, Optional[Tuple[float, float]]]:
+    """(t_mid, window) of a run whose records at t > 0 span [t_first,
+    t_last]: the z tail is t >= t_mid, the last half of that span in log
+    time (asymptotic claims; transients excluded), and must span a decade
+    (ValueError otherwise).  The gap is fitted over ``window``, the decade
+    below cap = scheme_fit_cap(step) for a scheme run on a sharp objective
+    (gamma <= 2) that passes the cap, where the scheme's viscosity would
+    otherwise steepen the slope; else None, fit_series' default."""
+    l0, l1 = math.log10(t_first), math.log10(t_last)
+    if l1 - 0.5 * (l0 + l1) < 1.0:
+        raise ValueError("verify_rate: tail half spans less than one decade")
+    window = None
+    if is_scheme and gamma <= 2.0:
+        cap = scheme_fit_cap(step)
+        if cap < t_last:
+            window = (cap / 10.0, cap)
+    return 10.0 ** (0.5 * (l0 + l1)), window
+
+
 def verify_rate(traj: Trajectory, regime: RateRegime, zs: ZSeries) -> RateVerdict:
     """Fit the gap envelope (fit_series) and test ``zs``, the run's
     z_sequence at the regime exponent (a ValueError names any other
-    exponent).
-
-    The fit window is the decade below scheme_fit_cap(h) for a scheme run of
-    a sharp objective (gamma <= 2) whose records reach the cap, where the
-    scheme's viscosity would otherwise steepen the slope; flat objectives,
-    integrator runs and shorter runs use fit_series' relative default.
-    The z statistics use the last half of the log-time span (asymptotic
-    claims; transients excluded), which must span at least one decade.
+    exponent), over the z tail and fit window of verdict_windows.
     Non-vanishing: tail max >= NONVANISH_THRESHOLD * global max.
     Boundedness: tail max <= BOUNDEDNESS_SLACK * global max.
     """
@@ -254,17 +267,9 @@ def verify_rate(traj: Trajectory, regime: RateRegime, zs: ZSeries) -> RateVerdic
             "verify_rate: degenerate z-sequence (all gaps are zero, or a gap overflowed)"
         )
     t = zs.t
-    l0, l1 = math.log10(t[0]), math.log10(t[-1])
-    t_mid = 10.0 ** (0.5 * (l0 + l1))
-    if l1 - 0.5 * (l0 + l1) < 1.0:
-        raise ValueError("verify_rate: tail half spans less than one decade")
+    t_mid, window = verdict_windows(traj.is_scheme, regime.gamma, traj.step, t[0], t[-1])
     tail = zs.z[t >= t_mid]
     ratio = float(tail.max()) if len(tail) else 0.0
-    window = None
-    if traj.is_scheme and regime.gamma <= 2.0:
-        cap = scheme_fit_cap(traj.step)
-        if cap < t[-1]:
-            window = (cap / 10.0, cap)
     fit = fit_series(traj.t, traj.gap, window)
     return RateVerdict(
         regime=regime,

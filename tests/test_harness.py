@@ -533,8 +533,9 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
 def _malformed(npz):
     """(name, members) pairs: the members of a good records.npz of a scheme
     run at rest with one changed to what no run writes, or removed, or with
-    mode ode-rk4 and a t0 no RK4 run starts at (below its step); a file
-    without tail is a run that never rests."""
+    mode ode-rk4 and a t0 no RK4 run starts at (below its step), or with
+    mode ode-rk4 and a valid t0 but the tail of a run at rest, which no RK4
+    run writes; a file without tail is a run that never rests."""
     m = dict(npz)
     first, stride, last = m["tail"].tolist()
     tails = ([first + stride, stride, last], [m["n"][-2], stride, last], [first, 0, last],
@@ -556,21 +557,22 @@ def _malformed(npz):
     yield from ((f"no {k}", {j: v for j, v in m.items() if j != k}) for k in m if k != "tail")
     yield from ((f"ode-rk4 at t0 {t0}", dict(m, mode="ode-rk4", t0=t0))
                 for t0 in (-1.0, 0.0, float(m["step"]) / 2))
+    yield "ode-rk4 with a tail", dict(m, mode="ode-rk4", t0=float(m["step"]))
 
 
 def test_export_exits_2_on_a_malformed_records_file_and_writes_nothing(tmp_path, capsys):
     """A records.npz member of the wrong dtype or shape, a run field with a
     value no run has (a mode not in MODES, alpha or step not finite and
     positive, t0 not the start time of its mode: 0 for the scheme, at least
-    the step for RK4), or a tail that does not continue the stored
-    records (its first n not the last stored n, stride < 1, last n below
-    first n, more than MAX_RECORDS records) is a ValueError of read_cell: export
-    exits 2 and writes no CSV for the cell."""
+    the step for RK4), a tail in an RK4 file, or a tail that does not
+    continue the stored records (its first n not the last stored n,
+    stride < 1, last n below first n, more than MAX_RECORDS records) is a
+    ValueError of read_cell: export exits 2 and writes no CSV for the cell."""
     cell = tmp_path / "cell"
     run_cell(config_from_dict(ROUND_TRIP_CELLS["prox-rests-off-stride"]), str(cell))
     with np.load(cell / "records.npz", allow_pickle=False) as npz:
         cases = list(_malformed(npz))
-    assert len(cases) == 48
+    assert len(cases) == 49
     for name, members in cases:
         np.savez(cell / "records.npz", **members)
         with pytest.raises(ValueError, match="cannot load cell"):
@@ -743,6 +745,18 @@ def test_svg_requires_series(tmp_path):
 # ---------------------------------------------------------------------------
 # cli
 # ---------------------------------------------------------------------------
+
+def test_cli_run_prints_n_a_for_tests_it_did_not_assess(tmp_path, capsys):
+    """A cell whose verdict is not assessed (its plateau gaps reach 0, so
+    the fit window holds too few positive gaps) prints n/a, not FAIL, for
+    both z tests, and exits 1."""
+    assert main(["run", "--objective", "plateau:gamma=2,a=1", "--alpha", "3", "--mode",
+                 "nesterov", "--h", "1e-4", "--stride", "50", "--steps", "100000", "--x0", "2",
+                 "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "boundedness  n/a\n" in out and "nonvanishing n/a\n" in out
+    assert "FAIL" not in out and "not assessed" in err
+
 
 def test_cli_rate_prints_branch(capsys):
     assert main(["rate", "--alpha", "8", "--gamma", "3"]) == 0

@@ -1,18 +1,21 @@
 """The scheme's inlined gradient and prox steps against the call-through
 steps, bit for bit.
 
-The 1-D catalog gradients are stated as one expression each
-(objectives.GradientExpr), and so are the closed-form 1-D power proxes
-(objectives.ProxExpr, gamma 1, 1.5, 2 and 3); run_scheme inlines that text
-into its stepping loop, and the public ``gradient`` or ``prox`` callable is
-compiled from the same text.  The references below are the gradients and
-proxes as they were written before they became expressions, gamma 4's
-gradient as the product that replaced its pow form: the expression-built
+The 1-D catalog gradients are stated as one expression each, and so are
+the closed-form 1-D power proxes (gamma 1, 1.5, 2 and 3): each is an
+objectives.Expr built by objectives._expr, whose function is the public
+``gradient`` or ``prox`` callable and carries the Expr (objectives.inlined).
+run_scheme inlines the text of any operation that carries one into its
+stepping loop, so an objective built by hand from _expr is inlined too.
+The references below are the gradients and proxes as they were written
+before they became expressions, gamma 4's gradient as the product that
+replaced its pow form: the expression-built
 callables must return their bits (or raise as they do), and a run with the
 inlined step must record what a run calling the reference records.  The
 integer-gamma products are also bounded against the pow form they replace,
 in ulps per gradient and in relative drift per run.
 """
+import functools
 import math
 import struct
 
@@ -23,12 +26,14 @@ from hypothesis import strategies as st
 
 from inertial_rates.dynamics import _interval_kernel, _rk4_kernel, run_scheme
 from inertial_rates.objectives import (
+    _PROX_EXPRS,
     _PRODUCT_GAMMAS,
     ObjectiveSpec,
+    _expr,
+    inlined,
     make_least_squares,
     make_plateau,
     make_power,
-    prox_expr,
     prox_power,
 )
 
@@ -92,7 +97,7 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160, -1e-170, 0.75,
 
 @pytest.mark.parametrize("label,obj,reference", CASES, ids=IDS)
 def test_expression_gradient_matches_reference_at_special_points(label, obj, reference):
-    assert obj.gradient is obj.gradient_expr.function
+    assert inlined(obj.gradient) is not None and inlined(obj.gradient).terms == ()
     for y in SPECIAL:
         assert _outcome(obj.gradient, y) == _outcome(reference, y), (label, y)
     # a power gradient that uses ** raises where its power overflows; the
@@ -316,8 +321,8 @@ def _reference_power_prox(gamma):
 
 def _inlined_prox(obj, h):
     """The prox text as the scheme's loop evaluates it: with the terms in h
-    that the kernel binds once per run (ProxExpr.bind) as globals."""
-    expr = prox_expr(obj.prox)
+    that the kernel binds once per run (Expr.bind) as globals."""
+    expr = inlined(obj.prox)
     return eval("lambda y: " + expr.text, expr.bind(h))
 
 
@@ -332,13 +337,13 @@ def test_inlined_prox_matches_reference_at_special_points(gamma):
     function's bits at each point, for steps from a run's to ones where the
     terms overflow their products."""
     obj, reference = make_power(gamma), _reference_power_prox(gamma)
-    assert prox_expr(obj.prox).function is obj.prox
+    assert inlined(obj.prox) is _PROX_EXPRS[gamma]
     for h in PROX_H:
-        inlined = _inlined_prox(obj, h)
+        text = _inlined_prox(obj, h)
         for y in PROX_SPECIAL:
             want = _outcome(reference, h, y)
             assert _outcome(obj.prox, h, y) == want, (gamma, h, y)
-            assert _outcome(inlined, y) == want, (gamma, h, y)
+            assert _outcome(text, y) == want, (gamma, h, y)
     if gamma == 1.5:  # s*s rounds above |y| and min picks |y|
         assert obj.prox(1e-5, 1.7e308) == 1.7e308 and obj.prox(1e-5, -1.7e308) == -1.7e308
     if gamma == 3.0:  # the points take the branch where 3h|y| overflows
@@ -389,8 +394,78 @@ def test_only_the_closed_form_prox_is_inlined(label, obj):
     names = _interval_kernel(obj, 1e-3, use_prox=True).__code__.co_names
     closed_form = label in {f"power-g{g:g}" for g in PROX_GAMMAS}
     assert ("prox" in names) == (not closed_form)
-    assert (prox_expr(obj.prox) is not None) == closed_form
+    assert (inlined(obj.prox) is not None) == closed_form
     if closed_form:
         reference = _reference_power_prox(obj.nominal_gamma)
         swapped = ObjectiveSpec(**{**obj.__dict__, "prox": reference})
         assert "prox" in _interval_kernel(swapped, 1e-3, use_prox=True).__code__.co_names
+
+
+# ---------------------------------------------------------------------------
+# any operation compiled by _expr is inlined, with no registration
+# ---------------------------------------------------------------------------
+
+def _hand_built(c):
+    """F(x) = c/2 * x**2, its gradient and prox each one _expr call, built
+    outside the catalog; and the same objective with plain callables."""
+    value = lambda x: 0.5 * c * x * x
+    inlined_ops = dict(gradient=_expr("y", "c * y", c=c).function,
+                       prox=_expr("h, y", "y / shrink", (("shrink", "1.0 + c * h"),), c=c).function)
+    called_ops = dict(gradient=lambda y: c * y, prox=lambda h, y: y / (1.0 + c * h))
+    return [ObjectiveSpec(name=f"quadratic:c={c:g}", dim=1, value=value, f_star=0.0,
+                          minimizer_hint=0.0, distance_to_minset=abs, nominal_gamma=2.0, **ops)
+            for ops in (inlined_ops, called_ops)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c=st.floats(0.1, 10.0),
+    alpha=st.floats(0.5, 8.0),
+    log_h=st.floats(-6.0, 0.0),
+    stride=st.integers(1, 60),
+    steps=st.integers(1, 1500),
+    x0=X0,
+    use_prox=st.booleans(),
+)
+@example(c=2.0, alpha=3.0, log_h=0.5, stride=7, steps=200, x0=10.0, use_prox=False)  # diverges
+def test_an_objective_built_by_hand_from_expr_is_inlined(c, alpha, log_h, stride, steps, x0,
+                                                        use_prox):
+    """Its gradient and prox are inlined (the loop names neither), and its
+    run records what the run calling plain callables records."""
+    obj, through = _hand_built(c)
+    assert inlined(obj.gradient).function is obj.gradient
+    assert inlined(obj.prox).function is obj.prox
+    names = _interval_kernel(obj, 1e-3, use_prox).__code__.co_names
+    assert "grad" not in names and "prox" not in names
+    called = _interval_kernel(through, 1e-3, use_prox).__code__.co_names
+    assert ("prox" if use_prox else "grad") in called
+    h = 10.0 ** log_h
+    inlined_run = run_scheme(obj, alpha, h, steps, x0, stride=stride, use_prox=use_prox)
+    called_run = run_scheme(through, alpha, h, steps, x0, stride=stride, use_prox=use_prox)
+    assert _trajectory_bits(inlined_run) == _trajectory_bits(called_run)
+    assert inlined_run.first_filled == called_run.first_filled
+
+
+def test_a_wrapper_of_an_inlined_operation_is_called():
+    """functools.wraps copies the compiled function's attributes, its Expr
+    among them; the wrapper is still called, since the Expr is not its."""
+    obj = make_power(1.5)
+    calls = []
+
+    def counted(op):
+        @functools.wraps(op)
+        def wrapper(*args):
+            calls.append(args)
+            return op(*args)
+        return wrapper
+
+    wrapped = ObjectiveSpec(**{**obj.__dict__, "gradient": counted(obj.gradient),
+                               "prox": counted(obj.prox)})
+    assert wrapped.gradient.expr is inlined(obj.gradient)
+    assert inlined(wrapped.gradient) is None and inlined(wrapped.prox) is None
+    for use_prox in (False, True):
+        calls.clear()
+        run = run_scheme(wrapped, 3.0, 1e-4, 50, 0.5, stride=10, use_prox=use_prox)
+        assert len(calls) == 50
+        assert _trajectory_bits(run) == _trajectory_bits(
+            run_scheme(obj, 3.0, 1e-4, 50, 0.5, stride=10, use_prox=use_prox))

@@ -1,6 +1,6 @@
 """The README's library sketch runs and prints what its comments claim, its
 output column lists and records.npz member list match the files, and its
-list of inlined gradients matches the catalog."""
+lists of inlined gradients and proxes match the catalog."""
 import contextlib
 import fnmatch
 import io
@@ -12,7 +12,7 @@ import numpy as np
 from inertial_rates.config import config_from_dict
 from inertial_rates.dynamics import MODES
 from inertial_rates.gridrun import export, run_cell
-from inertial_rates.objectives import parse_objective
+from inertial_rates.objectives import _PROX_EXPRS, inlined, make_power, parse_objective
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,7 +83,7 @@ def test_readme_records_members_are_the_ones_run_cell_writes(tmp_path):
 
 def test_readme_inlined_objectives_are_the_ones_with_an_expression(tmp_path):
     """The objective patterns listed under "Kernels" match exactly the
-    catalog objectives that carry a gradient expression."""
+    catalog objectives whose gradient is inlined."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("### Kernels"):text.index("## Numerical notes")]
     patterns = re.findall(r"^- `([^`]+)`", section, re.M)
@@ -97,4 +97,15 @@ def test_readme_inlined_objectives_are_the_ones_with_an_expression(tmp_path):
     for spec in specs:
         obj = parse_objective(spec)
         listed = any(fnmatch.fnmatchcase(obj.name, p) for p in patterns)
-        assert listed == (obj.gradient_expr is not None), obj.name
+        assert listed == (inlined(obj.gradient) is not None), obj.name
+
+
+def test_readme_inlined_prox_gammas_are_the_closed_forms():
+    """The gammas whose 1-D power prox "Kernels" says is inlined are the
+    keys of objectives._PROX_EXPRS, and each of those proxes is inlined."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Kernels"):text.index("## Numerical notes")]
+    listed = re.search(r"`power:gamma=G,dim=1` with G ([\d., or]+):", section).group(1)
+    gammas = tuple(float(g) for g in re.split(r", | or ", listed))
+    assert gammas == tuple(_PROX_EXPRS)
+    assert all(inlined(make_power(g).prox) is _PROX_EXPRS[g] for g in gammas)
