@@ -127,9 +127,10 @@ def _cmd_grid(args) -> int:
             print(f"{r.label}: FAILED ({r.error})")
             ok = False
         else:
-            status = "pass" if r.verdict["passed"] else "FAIL"
             ok = ok and r.verdict["passed"]
             th, fi = r.verdict["theoretical"], r.verdict["fitted"]
+            # fitted is None: not assessed (io.ASSESSED)
+            status = "n/a" if fi is None else "pass" if r.verdict["passed"] else "FAIL"
             print(
                 f"{r.label}: {status} "
                 f"theoretical={'n/a' if th is None else format(th, '.4g')} "

@@ -7,10 +7,11 @@ run_scheme and run_ode (through _run) and the other modules read.  All
 dynamics step through one driver loop (_drive), written once for both point
 forms (objectives.as_point): Python floats in dimension 1, where a step
 costs a small fraction of the array form's, and float arrays otherwise.
-Each run compiles the steps of one record interval from its dynamics'
-template: a gradient or prox that carries its expression (objectives.inlined:
-the 1-D catalog gradients and closed-form power proxes) is inlined into the
-scheme's as that text, and any other step calls the objective's operation.
+Each run compiles the steps of one record interval from its mode's
+template with one compiler (_kernel): a gradient or prox that carries its
+expression (objectives.inlined: the 1-D catalog gradients and closed-form
+power proxes) is inlined as that text into every template, the scheme's and
+RK4's alike, and any other step calls the objective's operation.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
 workers.
@@ -30,11 +31,16 @@ from .objectives import ObjectiveSpec, as_point, inlined
 # run is bounded by it, whatever the stride.
 _FACTOR_BLOCK = 4096
 
-# The steps of one record interval of run_scheme.  {step} is package-owned
-# expression text in the extrapolated point y; every number it names (h, an
-# objective's constants and a prox's terms in h) is a global of the compiled
-# function, so an inlined expression must not use the names bound here.
-_INTERVAL = """\
+# The loop templates of one record interval (Mode.template), each compiled by
+# _kernel with the step as the global h and alpha as the one other global.
+# {op} is the operation the mode steps at the point y, as package-owned
+# expression text; every number it names is a global of the compiled
+# function, so an inlined expression must not bind a name a template binds
+# or reads (alpha).
+#
+# The scheme, from the state (x_n, x_{n-1}); {step} is the next point in the
+# extrapolated point y.
+_SCHEME = """\
 def interval(factors, x, xp):
     for m in factors:
         y = x + m * (x - xp)
@@ -42,30 +48,26 @@ def interval(factors, x, xp):
     return x, xp
 """
 
-# The steps of one record interval of run_ode: classical RK4 on x' = v,
-# v' = -(alpha/t) v - grad(x), from the step start times ``times``.
-_RK4_INTERVAL = """\
+# The flow: classical RK4 on x' = v, v' = -(alpha/t) v - grad(x), from the
+# step start times ``times``, with each stage point bound to y.
+_RK4 = """\
 def interval(times, x, v):
     for t in times:
-        a1x = v
-        a1v = -(alpha / t) * v - grad(x)
-        t2 = t + 0.5 * dt
-        x2 = x + 0.5 * dt * a1x
-        v2 = v + 0.5 * dt * a1v
-        a2x = v2
-        a2v = -(alpha / t2) * v2 - grad(x2)
-        x3 = x + 0.5 * dt * a2x
-        v3 = v + 0.5 * dt * a2v
-        a3x = v3
-        a3v = -(alpha / t2) * v3 - grad(x3)
-        t4 = t + dt
-        x4 = x + dt * a3x
-        v4 = v + dt * a3v
-        a4x = v4
-        a4v = -(alpha / t4) * v4 - grad(x4)
-        xn = x + (dt / 6.0) * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        vn = v + (dt / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        x, v = xn, vn
+        y = x
+        a1v = -(alpha / t) * v - ({op})
+        t2 = t + 0.5 * h
+        y = x + 0.5 * h * v
+        v2 = v + 0.5 * h * a1v
+        a2v = -(alpha / t2) * v2 - ({op})
+        y = x + 0.5 * h * v2
+        v3 = v + 0.5 * h * a2v
+        a3v = -(alpha / t2) * v3 - ({op})
+        t4 = t + h
+        y = x + h * v3
+        v4 = v + h * a3v
+        a4v = -(alpha / t4) * v4 - ({op})
+        x, v = (x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                v + (h / 6.0) * (a1v + 2.0 * a2v + 2.0 * a3v + a4v))
     return x, v
 """
 
@@ -148,39 +150,27 @@ def _point_form(dim: int):
     )
 
 
-def _compile(template: str, names: dict, label: str):
-    """The function ``interval`` of ``template`` with ``names`` as its
-    globals.  The globals carry this module's ``__name__``, so a warning
+def _kernel(mode: Mode, obj: ObjectiveSpec, step: float, alpha: float):
+    """``interval(coefs, a, b) -> (a, b)``: the steps of one record interval
+    of ``mode``, compiled from its template with the step as ``h`` and
+    ``alpha``.  {op}, the operation the mode steps at y, inlines the Expr
+    that operation carries (objectives.inlined), with its terms in h bound
+    here, once, so it gives the call's bits; an operation with none is
+    called.  The globals carry this module's ``__name__``, so a warning
     raised inside the kernel is attributed to the package and meets the
     warning filters set for it."""
-    names["__name__"] = __name__
-    exec(compile(template, f"<{__name__} {label} interval>", "exec"), names)
-    return names["interval"]
-
-
-def _interval_kernel(obj: ObjectiveSpec, h: float, use_prox: bool):
-    """``interval(factors, x, xp) -> (x, xp)``: the steps of run_scheme with
-    extrapolation factors ``factors`` from the state (x, xp).  The step
-    y - h*grad(y), or prox(h, y) with ``use_prox``, inlines the Expr its
-    operation carries (objectives.inlined), with the terms in h computed
-    here, once, so it gives the call's bits; an operation with none is
-    called."""
-    op = obj.prox if use_prox else obj.gradient
+    op = obj.prox if mode.prox else obj.gradient
     expr = inlined(op)
     if expr is not None:
-        text, names = expr.text, expr.bind(h)
-    elif use_prox:
-        text, names = "prox(h, y)", {"h": h, "prox": op}
+        text, names = expr.text, expr.bind(step)
+    elif mode.prox:
+        text, names = "prox(h, y)", {"h": step, "prox": op}
     else:
-        text, names = "grad(y)", {"h": h, "grad": op}
-    step = text if use_prox else f"y - h * ({text})"
-    return _compile(_INTERVAL.format(step=step), names, "run_scheme")
-
-
-def _rk4_kernel(obj: ObjectiveSpec, alpha: float, dt: float):
-    """``interval(times, x, v) -> (x, v)``: the RK4 steps of run_ode that
-    start at ``times``, from the state (x, v)."""
-    return _compile(_RK4_INTERVAL, {"alpha": alpha, "dt": dt, "grad": obj.gradient}, "run_ode")
+        text, names = "grad(y)", {"h": step, "grad": op}
+    names.update(alpha=alpha, __name__=__name__)
+    code = compile(mode.template.format(op=text), f"<{__name__} {mode.name} interval>", "exec")
+    exec(code, names)
+    return names["interval"]
 
 
 class _Recorder:
@@ -309,18 +299,17 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
         return rec.trajectory(error, velocity, **fields)
 
 
-def _scheme_drive(mode: Mode, obj: ObjectiveSpec, alpha: float, h: float, t0: float, x, v):
-    """_drive's (interval, coefficients, state, velocity) for the scheme:
-    factors n/(n+alpha), (x_n, x_{n-1}) at rest at x, the divided difference."""
+def _scheme_drive(alpha: float, h: float, t0: float, x, v):
+    """_drive's (coefficients, state, velocity) for the scheme: factors
+    n/(n+alpha), (x_n, x_{n-1}) at rest at x, the divided difference."""
     sqrt_h = math.sqrt(h)
-    return (_interval_kernel(obj, h, mode.prox), lambda ns: ns / (ns + alpha), (x, x),
-            lambda x, xp: (x - xp) / sqrt_h)
+    return lambda ns: ns / (ns + alpha), (x, x), lambda x, xp: (x - xp) / sqrt_h
 
 
-def _flow_drive(mode: Mode, obj: ObjectiveSpec, alpha: float, dt: float, t0: float, x, v):
-    """_drive's (interval, coefficients, state, velocity) for RK4: step start
-    times t0 + k*dt, the state (x, v), and v."""
-    return _rk4_kernel(obj, alpha, dt), lambda ns: t0 + ns * dt, (x, v), lambda x, v: v
+def _flow_drive(alpha: float, dt: float, t0: float, x, v):
+    """_drive's (coefficients, state, velocity) for RK4: step start times
+    t0 + k*dt, the state (x, v), and v."""
+    return lambda ns: t0 + ns * dt, (x, v), lambda x, v: v
 
 
 def _flow_start(t0: float, dt: float) -> float:
@@ -339,15 +328,18 @@ class Mode:
     step_key: str       # the config key of the step: h or dt
     is_scheme: bool     # starts from rest (x_{-1} = x0) and may stop at a fixed point
     prox: bool          # takes proximal steps, so needs the objective's prox
+    template: str       # _kernel's interval loop, {op} the operation stepped at y
     time_unit: Callable[[float], float]          # record n is at t0 + n*time_unit(step)
     start_time: Callable[[float, float], float]  # (t0, step) -> the t0 a run starts at
-    drive: Callable     # (mode, obj, alpha, step, t0, x, v) -> the _scheme_drive tuple
+    drive: Callable     # (alpha, step, t0, x, v) -> the _scheme_drive tuple
 
 
 MODES = {m.name: m for m in (
-    Mode("nesterov", "h", True, False, math.sqrt, lambda t0, h: 0.0, _scheme_drive),
-    Mode("prox-nesterov", "h", True, True, math.sqrt, lambda t0, h: 0.0, _scheme_drive),
-    Mode("ode-rk4", "dt", False, False, lambda dt: dt, _flow_start, _flow_drive),
+    Mode("nesterov", "h", True, False, _SCHEME.format(step="y - h * ({op})"), math.sqrt,
+         lambda t0, h: 0.0, _scheme_drive),
+    Mode("prox-nesterov", "h", True, True, _SCHEME.format(step="{op}"), math.sqrt,
+         lambda t0, h: 0.0, _scheme_drive),
+    Mode("ode-rk4", "dt", False, False, _RK4, lambda dt: dt, _flow_start, _flow_drive),
 )}
 
 
@@ -366,9 +358,10 @@ def _run(caller: str, entry: Mode, obj: ObjectiveSpec, alpha: float, step: float
     for name, p, coords in (("x0", x, x0), ("v0", v, v0)):
         if not np.all(np.isfinite(p)):
             raise ValueError(f"{caller} requires a finite {name}, got {coords!r}")
-    interval, coefficients, state, velocity = entry.drive(entry, obj, alpha, step, t0, x, v)
-    return _drive(obj, interval, coefficients, state, steps, stride, velocity,
-                  fixed_points=entry.is_scheme, mode=entry.name, alpha=alpha, step=step, t0=t0)
+    coefficients, state, velocity = entry.drive(alpha, step, t0, x, v)
+    return _drive(obj, _kernel(entry, obj, step, alpha), coefficients, state, steps, stride,
+                  velocity, fixed_points=entry.is_scheme, mode=entry.name, alpha=alpha,
+                  step=step, t0=t0)
 
 
 def run_scheme(obj: ObjectiveSpec, alpha: float, h: float, steps: int, x0,

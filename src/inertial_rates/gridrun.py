@@ -32,8 +32,12 @@ class CellResult:
     error: Optional[str] = None
 
     def summary_row(self) -> dict:
-        """The verdict with label and error; write_summary picks its columns."""
-        return {"label": self.label, "error": self.error, **(self.verdict or {})}
+        """The verdict with label and error: the cell's error, else the
+        verdict_error of a cell not assessed; write_summary picks its
+        columns."""
+        verdict = self.verdict or {}
+        return {"label": self.label, **verdict,
+                "error": self.error or verdict.get("verdict_error")}
 
 
 def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "cell") -> CellResult:

@@ -4,6 +4,7 @@ inputs produce byte-identical files.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 from .config import MAX_RECORDS
 from .dynamics import MODES, Trajectory, fill_records, record_times
 from .lyapunov import EnergyTable
+from .objectives import parse_objective
 from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
 
 
@@ -154,7 +156,8 @@ def _filled(tail: np.ndarray, n: np.ndarray) -> Tuple[int, int]:
 def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
     """The Trajectory of a cell directory's records.npz, and the objective
     and rate regime of its verdict.json; ValueError when either does not
-    load, or the two disagree on alpha."""
+    load, the objective does not parse or its gamma is not verdict.json's,
+    or the two files disagree on alpha or the dimension."""
     import zipfile  # numpy has loaded it: np.load raises its BadZipFile
 
     try:
@@ -162,10 +165,19 @@ def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
             traj = _trajectory(npz)
         with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
             verdict = json.load(fh)
-        if verdict["alpha"] != traj.alpha:
-            raise ValueError(f"verdict.json has alpha {verdict['alpha']!r}, records.npz "
-                             f"{traj.alpha!r}")
-        return traj, verdict["objective"], theoretical_rate(verdict["alpha"], verdict["gamma"])
+        objective, alpha, gamma = verdict["objective"], verdict["alpha"], verdict["gamma"]
+        if alpha != traj.alpha:
+            raise ValueError(f"verdict.json has alpha {alpha!r}, records.npz {traj.alpha!r}")
+        if not isinstance(objective, str):
+            raise TypeError(f"verdict.json has objective {objective!r}, not a string")
+        obj = parse_objective(objective)
+        if gamma != obj.nominal_gamma:
+            raise ValueError(f"verdict.json has gamma {gamma!r}, its objective {objective!r} "
+                             f"{obj.nominal_gamma!r}")
+        if obj.dim != traj.dim:
+            raise ValueError(f"verdict.json has objective {objective!r} of dim {obj.dim}, "
+                             f"records.npz dim {traj.dim}")
+        return traj, objective, theoretical_rate(alpha, gamma)
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"cannot load cell {celldir}: {type(exc).__name__}: {exc}") from None
 
@@ -199,10 +211,10 @@ def write_summary(rows: Sequence[dict], csv_path: str, txt_path: str) -> None:
         "label", "branch", "theoretical", "fitted", "fitted_err",
         "z_tail_ratio", "boundedness", "nonvanishing", "passed", "error",
     ]
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(_cell(r.get(c)) for c in cols))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    with _open_text(csv_path) as fh:  # quotes a field with a comma, as an error may have
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(cols)
+        out.writerows([_cell(r.get(c)) for c in cols] for r in rows)
 
     widths = {c: len(c) for c in cols}
     rendered = []

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -449,6 +451,29 @@ def test_export_exits_2_when_verdict_and_records_disagree_on_alpha(tmp_path, cap
     assert main(["export", str(cell)]) == 0
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"gamma": 3.0}, "gamma 3.0, its objective 'power:gamma=2,dim=1' 2.0"),
+    ({"objective": "power:gamma=2,dim=nope"}, "invalid literal for int"),
+    ({"objective": "power:gamma=2,dim=3"}, "dim 3, records.npz dim 1"),
+    ({"objective": 2.0}, "objective 2.0, not a string"),
+])
+def test_export_exits_2_when_verdict_and_records_disagree_on_the_objective(tmp_path, capsys,
+                                                                          change, match):
+    """The objective of verdict.json must parse, have verdict.json's gamma
+    as its nominal gamma (the z exponent comes from it) and the dimension
+    of records.npz; else the cell does not load, and export writes
+    nothing."""
+    cell = tmp_path / "cell"
+    run_cell(config_from_dict(SMALL_RUN), str(cell))  # power:gamma=2,dim=1
+    verdict = json.loads((cell / "verdict.json").read_text())
+    (cell / "verdict.json").write_text(json.dumps({**verdict, **change}))
+    with pytest.raises(ValueError, match="cannot load cell .*" + re.escape(match)):
+        io.read_cell(str(cell))
+    assert main(["export", str(cell)]) == 2
+    assert "cannot load cell" in capsys.readouterr().err
+    assert not list(cell.glob("*.csv"))
+
+
 ROUND_TRIP_CELLS = {
     **{k: EXPORT_CELLS[k] for k in ("scheme-1d", "prox-freezes", "diverges-at-step-1")},
     "rk4-3d-clamped-t0": dict(EXPORT_CELLS["rk4-3d"], t0=1e-3),  # starts at dt = 1e-2
@@ -857,6 +882,27 @@ def test_cli_grid_subcommand(tmp_path, capsys):
     assert code == 0
     assert "alpha=6_gamma=2" in out
     assert (tmp_path / "g" / "z_overlay.svg").exists()
+
+
+def test_cli_grid_prints_n_a_for_a_cell_it_did_not_assess(tmp_path, capsys):
+    """The cell of test_cli_run_prints_n_a_for_tests_it_did_not_assess, as a
+    one-cell grid: its line says n/a, not FAIL, the grid exits 1, and its
+    summary row carries its verdict_error in the error column."""
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps({
+        "grid": {"pairs": [[3, 2]], "objective": "plateau:gamma={gamma},a=1"},
+        "run": {"mode": "nesterov", "h": 1e-4, "stride": 50, "steps": 100_000, "x0": [2]},
+    }))
+    assert main(["grid", "--config", str(cfg_path), "--outdir", str(tmp_path / "g")]) == 1
+    out = capsys.readouterr().out
+    assert "alpha=3_gamma=2: n/a theoretical=3 fitted=n/a\n" in out and "FAIL" not in out
+    error = json.loads((tmp_path / "g" / "alpha=3_gamma=2" / "verdict.json").read_text())[
+        "verdict_error"]
+    assert error.startswith("fit_series needs >= 10")
+    with open(tmp_path / "g" / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["passed"], row["error"]) == ("no", error)
+    assert (tmp_path / "g" / "summary.txt").read_text().rstrip().endswith(error)
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

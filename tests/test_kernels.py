@@ -1,20 +1,23 @@
-"""The scheme's inlined gradient and prox steps against the call-through
-steps, bit for bit.
+"""The inlined gradient and prox steps of every mode's kernel against the
+call-through steps, bit for bit.
 
 The 1-D catalog gradients are stated as one expression each, and so are
 the closed-form 1-D power proxes (gamma 1, 1.5, 2 and 3): each is an
 objectives.Expr built by objectives._expr, whose function is the public
 ``gradient`` or ``prox`` callable and carries the Expr (objectives.inlined).
-run_scheme inlines the text of any operation that carries one into its
-stepping loop, so an objective built by hand from _expr is inlined too.
-The references below are the gradients and proxes as they were written
-before they became expressions, gamma 4's gradient as the product that
-replaced its pow form: the expression-built
-callables must return their bits (or raise as they do), and a run with the
-inlined step must record what a run calling the reference records.  The
-integer-gamma products are also bounded against the pow form they replace,
-in ulps per gradient and in relative drift per run.
+dynamics._kernel inlines the text of any operation that carries one into
+the loop template of every MODES entry (the scheme's and RK4's), so an
+objective built by hand from _expr is inlined too.  The references below
+are the gradients and proxes as they were written before they became
+expressions, gamma 4's gradient as the product that replaced its pow form:
+the expression-built callables must return their bits (or raise as they
+do), and a scheme or RK4 run with the inlined step must record what a run
+calling the reference records.  The integer-gamma products are also bounded
+against the pow form they replace, in ulps per gradient and in relative
+drift per run.
 """
+import ast
+import builtins
 import functools
 import math
 import struct
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from inertial_rates.dynamics import _interval_kernel, _rk4_kernel, run_scheme
+from inertial_rates.dynamics import MODES, _kernel, run_ode, run_scheme
 from inertial_rates.objectives import (
     _PROX_EXPRS,
     _PRODUCT_GAMMAS,
@@ -82,6 +85,12 @@ CASES = _objectives()
 IDS = [label for label, _, _ in CASES]
 
 
+def _names(mode, obj):
+    """The names the compiled record interval of ``mode`` on ``obj`` refers
+    to."""
+    return _kernel(MODES[mode], obj, 1e-3, 3.0).__code__.co_names
+
+
 def _outcome(f, *args):
     """The bits f returns, or the type of the exception it raises."""
     try:
@@ -117,13 +126,13 @@ def test_expression_gradient_matches_reference(label, obj, reference, y):
 
 @pytest.mark.parametrize("label,obj,reference", CASES, ids=IDS)
 def test_only_the_catalog_callable_is_inlined(label, obj, reference):
-    """The inlined loop names no gradient; an objective whose gradient is
-    swapped for another callable (the reference here) calls it."""
-    inlined = _interval_kernel(obj, 1e-3, use_prox=False).__code__.co_names
+    """The inlined scheme and RK4 loops name no gradient; an objective whose
+    gradient is swapped for another callable (the reference here) calls
+    it."""
     swapped = ObjectiveSpec(**{**obj.__dict__, "gradient": reference})
-    through = _interval_kernel(swapped, 1e-3, use_prox=False).__code__.co_names
-    assert "grad" not in inlined and "grad" in through
-    assert "grad" not in _interval_kernel(obj, 1e-3, use_prox=True).__code__.co_names
+    for mode in ("nesterov", "ode-rk4"):
+        assert "grad" not in _names(mode, obj) and "grad" in _names(mode, swapped)
+    assert "grad" not in _names("prox-nesterov", obj)
 
 
 def _trajectory_bits(traj):
@@ -161,6 +170,31 @@ def test_inlined_run_matches_call_through_run(label, obj, reference, alpha, log_
     assert _trajectory_bits(inlined) == _trajectory_bits(called)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    log_dt=st.floats(-4.0, 0.5),
+    t0=st.floats(1e-3, 10.0),
+    stride=st.integers(1, 60),
+    steps=st.integers(1, 800),
+    x0=X0,
+    v0=st.floats(-3.0, 3.0),
+)
+@example(alpha=3.0, log_dt=0.0, t0=1.0, stride=7, steps=200, x0=1e200, v0=0.0)  # diverges
+@example(alpha=3.0, log_dt=0.5, t0=1.0, stride=7, steps=300, x0=10.0, v0=0.0)   # mid-interval
+@example(alpha=3.0, log_dt=-2.0, t0=0.5, stride=3, steps=100, x0=-0.0, v0=0.0)  # rest at -0.0
+@pytest.mark.parametrize("label,obj,reference", CASES, ids=IDS)
+def test_inlined_rk4_run_matches_call_through_run(label, obj, reference, alpha, log_dt, t0,
+                                                  stride, steps, x0, v0):
+    """RK4 inlines the gradient at each of its four stages: its records and
+    error marker are those of the run calling the reference."""
+    dt = 10.0 ** log_dt
+    through = ObjectiveSpec(**{**obj.__dict__, "gradient": reference})
+    inlined = run_ode(obj, alpha, dt, t0, steps, x0, v0, stride)
+    called = run_ode(through, alpha, dt, t0, steps, x0, v0, stride)
+    assert _trajectory_bits(inlined) == _trajectory_bits(called)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     log_h=st.floats(-8.0, 3.0),
@@ -175,18 +209,19 @@ def test_catalog_prox_is_prox_power(gamma, log_h, y):
 
 
 def test_kernel_warnings_meet_the_package_warning_filter():
-    """A numpy RuntimeWarning raised inside a compiled kernel is attributed
-    to the package, so the pytest configuration's
+    """A numpy RuntimeWarning raised inside any mode's compiled kernel is
+    attributed to the package, so the pytest configuration's
     ``error::RuntimeWarning:inertial_rates`` turns it into an error; here
-    inf - inf, outside the errstate that the run loop sets."""
+    inf - inf, outside the errstate that the run loop sets: x - xp in a
+    scheme, v + 0.5*h*a1v with a1v = -inf in RK4."""
     inf = np.array([math.inf, 0.0, 0.0])
-    obj = make_power(2.0, 3)
-    scheme = _interval_kernel(obj, 1e-3, use_prox=False)
-    with pytest.raises(RuntimeWarning, match="invalid value"):
-        scheme([0.5], inf, inf)  # x - xp
-    rk4 = _rk4_kernel(obj, 3.0, 1e-3)
-    with pytest.raises(RuntimeWarning, match="invalid value"):
-        rk4([1.0], np.zeros(3), inf)  # v + 0.5*dt*a1v with a1v = -inf
+    for entry in MODES.values():
+        interval = _kernel(entry, make_power(2.0, 3), 1e-3, 3.0)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            if entry.is_scheme:
+                interval([0.5], inf, inf)
+            else:
+                interval([1.0], np.zeros(3), inf)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +426,13 @@ def test_only_the_closed_form_prox_is_inlined(label, obj):
     """The loop names no prox for a closed-form 1-D power prox; every other
     prox is called, and so is a closed-form one swapped for another
     callable (the reference here)."""
-    names = _interval_kernel(obj, 1e-3, use_prox=True).__code__.co_names
     closed_form = label in {f"power-g{g:g}" for g in PROX_GAMMAS}
-    assert ("prox" in names) == (not closed_form)
+    assert ("prox" in _names("prox-nesterov", obj)) == (not closed_form)
     assert (inlined(obj.prox) is not None) == closed_form
     if closed_form:
         reference = _reference_power_prox(obj.nominal_gamma)
         swapped = ObjectiveSpec(**{**obj.__dict__, "prox": reference})
-        assert "prox" in _interval_kernel(swapped, 1e-3, use_prox=True).__code__.co_names
+        assert "prox" in _names("prox-nesterov", swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +464,15 @@ def _hand_built(c):
 @example(c=2.0, alpha=3.0, log_h=0.5, stride=7, steps=200, x0=10.0, use_prox=False)  # diverges
 def test_an_objective_built_by_hand_from_expr_is_inlined(c, alpha, log_h, stride, steps, x0,
                                                         use_prox):
-    """Its gradient and prox are inlined (the loop names neither), and its
-    run records what the run calling plain callables records."""
+    """Its gradient and prox are inlined (no mode's loop names either), and
+    its run records what the run calling plain callables records."""
     obj, through = _hand_built(c)
     assert inlined(obj.gradient).function is obj.gradient
     assert inlined(obj.prox).function is obj.prox
-    names = _interval_kernel(obj, 1e-3, use_prox).__code__.co_names
-    assert "grad" not in names and "prox" not in names
-    called = _interval_kernel(through, 1e-3, use_prox).__code__.co_names
-    assert ("prox" if use_prox else "grad") in called
+    for mode, entry in MODES.items():
+        names = _names(mode, obj)
+        assert "grad" not in names and "prox" not in names
+        assert ("prox" if entry.prox else "grad") in _names(mode, through)
     h = 10.0 ** log_h
     inlined_run = run_scheme(obj, alpha, h, steps, x0, stride=stride, use_prox=use_prox)
     called_run = run_scheme(through, alpha, h, steps, x0, stride=stride, use_prox=use_prox)
@@ -451,16 +485,7 @@ def test_a_wrapper_of_an_inlined_operation_is_called():
     among them; the wrapper is still called, since the Expr is not its."""
     obj = make_power(1.5)
     calls = []
-
-    def counted(op):
-        @functools.wraps(op)
-        def wrapper(*args):
-            calls.append(args)
-            return op(*args)
-        return wrapper
-
-    wrapped = ObjectiveSpec(**{**obj.__dict__, "gradient": counted(obj.gradient),
-                               "prox": counted(obj.prox)})
+    wrapped = _wrapped(obj, calls)
     assert wrapped.gradient.expr is inlined(obj.gradient)
     assert inlined(wrapped.gradient) is None and inlined(wrapped.prox) is None
     for use_prox in (False, True):
@@ -469,3 +494,116 @@ def test_a_wrapper_of_an_inlined_operation_is_called():
         assert len(calls) == 50
         assert _trajectory_bits(run) == _trajectory_bits(
             run_scheme(obj, 3.0, 1e-4, 50, 0.5, stride=10, use_prox=use_prox))
+    calls.clear()
+    run = run_ode(wrapped, 3.0, 1e-3, 0.1, 50, 0.5, None, 10)
+    assert len(calls) == 4 * 50  # one call per RK4 stage
+    assert _trajectory_bits(run) == _trajectory_bits(run_ode(obj, 3.0, 1e-3, 0.1, 50, 0.5,
+                                                             None, 10))
+
+
+def _wrapped(obj, calls):
+    """``obj`` with its gradient and prox behind functools.wraps wrappers
+    that append each call's arguments to ``calls``."""
+    def counted(op):
+        @functools.wraps(op)
+        def wrapper(*args):
+            calls.append(args)
+            return op(*args)
+        return wrapper
+
+    return ObjectiveSpec(**{**obj.__dict__, "gradient": counted(obj.gradient),
+                            "prox": counted(obj.prox)})
+
+
+# ---------------------------------------------------------------------------
+# every mode's kernel: one inline-or-call rule, and no name shared with a template
+# ---------------------------------------------------------------------------
+
+def _operation_cases():
+    """(label, objective, (gradient inlined, prox inlined)) for the 1-D
+    catalog, and for operations that are called: n-D, lsq, swapped and
+    wrapped ones."""
+    cases = [(label, obj, (True, label in {f"power-g{g:g}" for g in PROX_GAMMAS}))
+             for label, obj, _ in CASES]
+    cases += [(f"{label}-swapped",
+               ObjectiveSpec(**{**obj.__dict__, "gradient": reference,
+                                "prox": lambda h, y, prox=obj.prox: prox(h, y)}),
+               (False, False))
+              for label, obj, reference in CASES]
+    cases += [(f"{label}-wrapped", _wrapped(obj, []), (False, False))
+              for label, obj in (("power-g1.5", make_power(1.5)),
+                                 ("plateau-g2", make_plateau(2.0, 0.75)))]
+    cases += [(label, obj, (False, False)) for label, obj in (
+        ("power-g1.5-d3", make_power(1.5, 3)), ("power-g2-d2", make_power(2.0, 2)),
+        ("lsq", make_least_squares(np.array([[2.0, 1.0], [0.5, 3.0]]), np.ones(2))))]
+    return cases
+
+
+OPERATION_CASES = _operation_cases()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("label,obj,inline", OPERATION_CASES,
+                         ids=[c[0] for c in OPERATION_CASES])
+def test_a_kernel_calls_its_operation_exactly_when_it_carries_no_expr(mode, label, obj,
+                                                                       inline):
+    """Every MODES entry's kernel names the operation it steps (``grad`` or
+    ``prox``) when that operation carries no Expr, and inlines it
+    otherwise."""
+    entry = MODES[mode]
+    op, name = (obj.prox, "prox") if entry.prox else (obj.gradient, "grad")
+    assert (inlined(op) is not None) == inline[entry.prox]
+    assert (name in _names(mode, obj)) == (not inline[entry.prox])
+
+
+def _bound(tree):
+    """The names ``tree`` binds: function and argument names, assignment,
+    loop and ``:=`` targets."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    return names
+
+
+def _reserved():
+    """The names some MODES template binds or reads as a global of the
+    compiled kernel, with {op} read as y."""
+    reserved = set()
+    for entry in MODES.values():
+        tree = ast.parse(entry.template.format(op="y"))
+        bound = _bound(tree)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reserved |= bound | {name for name in read - bound if name not in dir(builtins)}
+    return reserved
+
+
+def _expr_bound(expr):
+    """The names an Expr binds in the kernel's scope: its names, its terms
+    and the ``:=`` targets of its texts."""
+    bound = {name for name, _ in expr.names} | {name for name, _ in expr.terms}
+    for text in (expr.text, *(term for _, term in expr.terms)):
+        bound |= _bound(ast.parse(text, mode="eval"))
+    return bound
+
+
+def test_no_catalog_expr_binds_a_name_a_template_reserves():
+    """An inlined Expr shares the compiled kernel's globals and locals with
+    the template, so a name both bind (a stage local such as t or v2, or
+    alpha) would be overwritten without any error.  y, the point, and h,
+    which Expr.bind supplies, are the names both use by design."""
+    reserved = _reserved() - {"y", "h"}
+    assert {"interval", "x", "xp", "m", "t", "v2", "a4v", "alpha"} <= reserved
+    exprs = [inlined(obj.gradient) for _, obj, _ in CASES] + list(_PROX_EXPRS.values())
+    for expr in exprs:
+        assert not _expr_bound(expr) & reserved, expr.text
+    # the guard sees a collision of each kind
+    for clash, name in ((_expr("y", "(t := abs(y)) * y"), "t"),
+                        (_expr("h, y", "y / v2", (("v2", "1.0 + h"),)), "v2"),
+                        (_expr("y", "alpha * y", alpha=2.0), "alpha")):
+        assert _expr_bound(clash) & reserved == {name}
+
