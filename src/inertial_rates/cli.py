@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
-from . import gridrun, rates
+from . import rates
 from .config import (
     RUN_SCHEMA,
     ConfigError,
@@ -82,6 +82,8 @@ def _flag_value(key: str, text: str):
 
 
 def _cmd_run(args) -> int:
+    from . import gridrun  # run, grid and export only: rate and probe write nothing
+
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -116,6 +118,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from . import gridrun
+
     cfg = load_config(args.config)
     if isinstance(cfg, ExperimentConfig):
         raise ConfigError("got a run config; use the 'run' subcommand")
@@ -141,6 +145,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import gridrun
+
     print("\n".join(f"exported {cell}" for cell in gridrun.export(args.dir)))
     return 0
 

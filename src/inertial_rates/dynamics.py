@@ -119,15 +119,18 @@ def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
                  stride: int, last: int):
     """(n, x, v, gap) followed by the fill of a run at rest from the last
     record: that record's x, v and gap at every ``stride``-th step after it
-    up to ``last``, and at ``last``."""
-    first = int(n[-1])
-    tail = np.arange(first + stride, last + 1, stride, dtype=np.int64)
-    if (last - first) % stride:
-        tail = np.append(tail, np.int64(last))
-    k = len(tail)
-    return (np.concatenate((n, tail)), np.concatenate((x, np.repeat(x[-1:], k, axis=0))),
-            np.concatenate((v, np.repeat(v[-1:], k, axis=0))),
-            np.concatenate((gap, np.full(k, gap[-1]))))
+    up to ``last``, and at ``last``.  Each result is allocated once and
+    filled in place: a run at rest fills up to MAX_RECORDS rows, and every
+    temporary of that size costs fresh pages on each run."""
+    first, size = int(n[-1]), len(n)
+    k = -(-(last - first) // stride)  # the multiples of stride after first, then last
+    out = [np.empty((size + k, *a.shape[1:]), dtype=a.dtype) for a in (n, x, v, gap)]
+    for a, o in zip((n, x, v, gap), out):
+        o[:size] = a
+        o[size:] = a[-1]
+    out[0][size:] += stride * np.arange(1, k + 1, dtype=np.int64)
+    out[0][-1] = last
+    return tuple(out)
 
 
 def _point_form(dim: int):
@@ -236,14 +239,16 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
     those steps.  The loop steps one record interval at a time, split at
     multiples of ``_FACTOR_BLOCK``: the coefficients of a block come from one
     numpy pass (the same IEEE operations as the per-step formula, so the same
-    bits), and the state is tested for finiteness once, at the interval's
-    end.  If that test fails, or a step raises, the interval is replayed from
-    its saved start one step at a time, testing every state: a non-finite
-    state, or an OverflowError, aborts the run at that step, and any other
-    exception propagates from the step that raises it.  The partial
-    trajectory carries an error marker and the last finite state as its
-    final record.  The loop runs with numpy's overflow and invalid-value
-    warnings off, so an n-D run that diverges warns no more than a 1-D one.
+    bits), and each interval iterates a memoryview slice of that array, which
+    copies nothing and yields the same Python floats as a list would.  The
+    state is tested for finiteness once, at the interval's end.  If that
+    test fails, or a step raises, the interval is replayed from its saved
+    start one step at a time, testing every state: a non-finite state, or
+    an OverflowError, aborts the run at that step, and any other exception
+    propagates from the step that raises it.  The partial trajectory
+    carries an error marker and the last finite state as its final record.
+    The loop runs with numpy's overflow and invalid-value warnings off, so
+    an n-D run that diverges warns no more than a 1-D one.
 
     With ``fixed_points``, a state (a, b) whose halves are identical bit for
     bit takes one step alone, and if that step returns the state unchanged,
@@ -264,8 +269,8 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
         while k < steps:
             if k - base == _FACTOR_BLOCK:
                 base = k
-                coefs = coefficients(
-                    np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)).tolist()
+                coefs = memoryview(coefficients(
+                    np.arange(k, min(k + _FACTOR_BLOCK, steps), dtype=float)))
             # at rest, take one step alone: if it returns the state, it is a
             # fixed point; a replayed interval goes one step at a time too
             at_rest = fixed_points and same(a, b)

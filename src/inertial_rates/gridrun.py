@@ -9,14 +9,12 @@ configured parallelism degree.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from . import dynamics, io, lyapunov, rates
+from . import dynamics, io, rates
 from .config import ExperimentConfig, GridSpec
 from .objectives import parse_objective, reference_point
 
@@ -80,6 +78,8 @@ def export_cell(celldir: str) -> None:
     z is taken at the regime exponent of verdict.json's (alpha, gamma); the
     energy uses select_params' default Lyapunov family for that regime,
     centred on reference_point(obj, x0)."""
+    from . import lyapunov  # only the export computes energies
+
     traj, objective, regime = io.read_cell(celldir)
     io.write_trajectory_csv(traj, os.path.join(celldir, "trajectory.csv"))
     if len(traj) > 1:
@@ -111,6 +111,8 @@ def _grid_worker(item):
 def _pool_result(future, item) -> CellResult:
     """The cell's result; a cell left unfinished by a crashed worker process
     gets a BrokenProcessPool error instead of taking the grid down."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
     except BrokenProcessPool as exc:
@@ -134,6 +136,8 @@ def run_grid(grid: GridSpec, outdir: str = "out") -> list:
     items = [(label, cfg, os.path.join(outdir, label)) for label, cfg in cells]
     n_workers = min(worker_count(grid.parallelism), len(items))
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial grid needs no pool
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(_grid_worker, it) for it in items]
             results = [_pool_result(f, it) for f, it in zip(futures, items)]

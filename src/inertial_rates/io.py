@@ -8,15 +8,17 @@ import csv
 import json
 import math
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import MAX_RECORDS
+from .config import MAX_RECORDS, _as_float
 from .dynamics import MODES, Trajectory, fill_records, record_times
-from .lyapunov import EnergyTable
 from .objectives import parse_objective
 from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
+
+if TYPE_CHECKING:  # an annotation only: writing records loads no Lyapunov code
+    from .lyapunov import EnergyTable
 
 
 def fmt(x: float) -> str:
@@ -156,7 +158,8 @@ def _filled(tail: np.ndarray, n: np.ndarray) -> Tuple[int, int]:
 def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
     """The Trajectory of a cell directory's records.npz, and the objective
     and rate regime of its verdict.json; ValueError when either does not
-    load, the objective does not parse or its gamma is not verdict.json's,
+    load, verdict.json's alpha or gamma is not a finite number (a JSON true
+    is not), the objective does not parse or its gamma is not verdict.json's,
     or the two files disagree on alpha or the dimension."""
     import zipfile  # numpy has loaded it: np.load raises its BadZipFile
 
@@ -165,7 +168,8 @@ def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
             traj = _trajectory(npz)
         with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
             verdict = json.load(fh)
-        objective, alpha, gamma = verdict["objective"], verdict["alpha"], verdict["gamma"]
+        objective = verdict["objective"]
+        alpha, gamma = (_as_float(verdict[k], f"verdict.json {k}") for k in ("alpha", "gamma"))
         if alpha != traj.alpha:
             raise ValueError(f"verdict.json has alpha {alpha!r}, records.npz {traj.alpha!r}")
         if not isinstance(objective, str):

@@ -889,3 +889,37 @@ def test_scheme_converges_to_the_flow_at_first_order_in_sqrt_h(gamma):
         errors.append(abs(traj.x[-1, 0] - flow.x[-1, 0]))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.8 <= coarse / fine <= 2.2
+
+
+def _fill_by_concatenation(n, x, v, gap, stride, last):
+    """fill_records as it was written before it filled its results in place."""
+    first = int(n[-1])
+    tail = np.arange(first + stride, last + 1, stride, dtype=np.int64)
+    if (last - first) % stride:
+        tail = np.append(tail, np.int64(last))
+    k = len(tail)
+    return (np.concatenate((n, tail)), np.concatenate((x, np.repeat(x[-1:], k, axis=0))),
+            np.concatenate((v, np.repeat(v[-1:], k, axis=0))),
+            np.concatenate((gap, np.full(k, gap[-1]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    records=st.integers(1, 5),
+    dim=st.integers(1, 3),
+    first=st.integers(0, 10 ** 9),
+    stride=st.integers(1, 1000),
+    span=st.integers(0, 5000),
+    values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3),
+)
+def test_fill_records_matches_the_concatenated_fill(records, dim, first, stride, span, values):
+    """The same records, dtypes and bits (signed zeros and NaN payloads
+    included) as the concatenation of each array with its repeated last row."""
+    n = np.arange(first - records + 1, first + 1, dtype=np.int64)
+    x, v = (np.arange(records * dim, dtype=float).reshape(records, dim) for _ in "xv")
+    gap = np.arange(records, dtype=float)
+    x[-1], v[-1], gap[-1] = values  # the last record, which the fill repeats
+    got = dynamics.fill_records(n, x, v, gap, stride, first + span)
+    want = _fill_by_concatenation(n, x, v, gap, stride, first + span)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()

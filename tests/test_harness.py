@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -5,7 +6,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,13 +271,14 @@ def test_pool_is_bounded_by_the_cell_count(tmp_path, monkeypatch):
     """A 2-cell grid at parallelism 6 starts 2 worker processes, not 6."""
     started = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def shutdown(self, *args, **kwargs):
             started.append(len(self._processes))
             super().shutdown(*args, **kwargs)
 
     monkeypatch.delenv("INERTIAL_RATES_WORKERS", raising=False)
-    monkeypatch.setattr(gridrun, "ProcessPoolExecutor", CountingPool)
+    # run_grid imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     doc = json.dumps({
         "grid": {"pairs": [[6, 2], [3, 2]], "parallelism": 6},
         "run": {"steps": 2_000, "h": 1e-4, "stride": 10},
@@ -448,6 +449,30 @@ def test_export_exits_2_when_verdict_and_records_disagree_on_alpha(tmp_path, cap
         assert "cannot load cell" in capsys.readouterr().err
         assert not list(cell.glob("*.csv"))
     (cell / "verdict.json").write_text(json.dumps(verdict))
+    assert main(["export", str(cell)]) == 0
+
+
+def test_export_exits_2_when_verdict_alpha_or_gamma_is_not_a_number(tmp_path, capsys):
+    """A JSON true equals 1.0, the alpha and gamma of this cell, yet it is no
+    number: like a config, verdict.json must give alpha and gamma as finite
+    numbers, else the cell does not load and export writes nothing."""
+    cell = tmp_path / "cell"
+    run_cell(config_from_dict({**SMALL_RUN, "objective": "power:gamma=1,dim=1", "alpha": 1.0,
+                               "mode": "prox-nesterov"}), str(cell))
+    verdict = json.loads((cell / "verdict.json").read_text())
+    assert (verdict["alpha"], verdict["gamma"]) == (1.0, 1.0)
+    for change in ({"alpha": True}, {"gamma": True}, {"alpha": True, "gamma": True},
+                   {"gamma": None}, {"alpha": [1.0]}):
+        (cell / "verdict.json").write_text(json.dumps({**verdict, **change}))
+        key = next(iter(change))
+        with pytest.raises(ValueError, match=f"cannot load cell .*{key} must be a finite number"):
+            io.read_cell(str(cell))
+        assert main(["export", str(cell)]) == 2
+        assert "cannot load cell" in capsys.readouterr().err
+        assert not list(cell.glob("*.csv"))
+    (cell / "verdict.json").write_text(json.dumps(verdict))
+    _, _, regime = io.read_cell(str(cell))
+    assert type(regime.alpha) is float and type(regime.gamma) is float
     assert main(["export", str(cell)]) == 0
 
 

@@ -607,3 +607,48 @@ def test_no_catalog_expr_binds_a_name_a_template_reserves():
                         (_expr("y", "alpha * y", alpha=2.0), "alpha")):
         assert _expr_bound(clash) & reserved == {name}
 
+
+# ---------------------------------------------------------------------------
+# _drive iterates each coefficient block as a memoryview of its numpy array
+# ---------------------------------------------------------------------------
+
+def _interval_outcome(interval, coefs, a, b):
+    """The bits of the state ``interval`` returns, or the type of the
+    exception it raises."""
+    try:
+        return struct.pack("<2d", *interval(coefs, a, b))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _called(op):
+    """``op`` behind a plain function, which the kernel calls."""
+    return lambda *args: op(*args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    log_step=st.floats(-6.0, 0.5),
+    t0=st.floats(1e-3, 10.0),
+    base=st.integers(0, 10 ** 7),
+    lo=st.integers(0, 40),
+    count=st.integers(0, 40),
+    a=X0,
+    b=X0,
+)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("label,obj,reference", CASES, ids=IDS)
+def test_a_kernel_steps_a_memoryview_slice_as_the_list_slice(label, obj, reference, mode, alpha,
+                                                             log_step, t0, base, lo, count, a, b):
+    """Each kernel, inlined or calling, returns the same bits from a slice of
+    a coefficient block's memoryview as from the same slice of its list."""
+    entry = MODES[mode]
+    step = 10.0 ** log_step
+    coefficients, _, _ = entry.drive(alpha, step, entry.start_time(t0, step), a, b)
+    block = coefficients(np.arange(base, base + 80, dtype=float))
+    for interval in (_kernel(entry, obj, step, alpha),
+                     _kernel(entry, ObjectiveSpec(**{**obj.__dict__, "gradient": reference,
+                                                     "prox": _called(obj.prox)}), step, alpha)):
+        assert (_interval_outcome(interval, memoryview(block)[lo:lo + count], a, b)
+                == _interval_outcome(interval, block.tolist()[lo:lo + count], a, b))
