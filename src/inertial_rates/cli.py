@@ -82,8 +82,6 @@ def _flag_value(key: str, text: str):
 
 
 def _cmd_run(args) -> int:
-    from . import gridrun  # run, grid and export only: rate and probe write nothing
-
     raw = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -94,6 +92,8 @@ def _cmd_run(args) -> int:
     cfg = config_from_dict(raw)
     for w in cfg.warnings():
         print(f"warning: {w}", file=sys.stderr)
+    from . import gridrun  # once valid: a rejected config loads no runner or numpy
+
     result = gridrun.run_cell(cfg)
     if result.verdict is None:
         print(f"run failed: {result.error}", file=sys.stderr)
@@ -118,11 +118,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    from . import gridrun
-
     cfg = load_config(args.config)
     if isinstance(cfg, ExperimentConfig):
         raise ConfigError("got a run config; use the 'run' subcommand")
+    from . import gridrun
+
     outdir = args.outdir if args.outdir else dict(cfg.base).get("outdir", "out")
     results = gridrun.run_grid(cfg, outdir)
     ok = True

@@ -14,17 +14,19 @@ power proxes) is inlined as that text into every template, the scheme's and
 RK4's alike, and any other step calls the objective's operation.
 Single runs are strictly sequential; distinct runs are independent and the
 returned Trajectory values are immutable arrays, safe to share across
-workers.
+workers.  numpy loads with the first run (each function that builds arrays
+imports it), so a config parse that reads MODES loads none.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .objectives import ObjectiveSpec, as_point, inlined
+
+if TYPE_CHECKING:  # annotations only: reading MODES loads no numpy
+    import numpy as np
 
 # Steps whose coefficients (the scheme's extrapolation factors, RK4's step
 # start times) _drive computes in one numpy pass; the coefficient memory of a
@@ -122,6 +124,7 @@ def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
     up to ``last``, and at ``last``.  Each result is allocated once and
     filled in place: a run at rest fills up to MAX_RECORDS rows, and every
     temporary of that size costs fresh pages on each run."""
+    import numpy as np
     first, size = int(n[-1]), len(n)
     k = -(-(last - first) // stride)  # the multiples of stride after first, then last
     out = [np.empty((size + k, *a.shape[1:]), dtype=a.dtype) for a in (n, x, v, gap)]
@@ -142,6 +145,7 @@ def _point_form(dim: int):
     Bit equality is value equality plus equal sign bits (-0.0 == 0.0 but the
     two step differently).
     """
+    import numpy as np
     if dim == 1:
         return (
             math.isfinite,
@@ -216,6 +220,7 @@ class _Recorder:
         """The samples as a Trajectory with velocities ``velocity(x, b)``,
         taken over all samples at once, and the segment expanded after
         them."""
+        import numpy as np
         dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
         x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
@@ -257,6 +262,7 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
     the state, and the rest are one segment (its stride and last n) that
     the Trajectory expands with numpy, marking that record first_filled.
     """
+    import numpy as np
     finite, same = _point_form(obj.dim)
     a, b = state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -353,6 +359,7 @@ def _run(caller: str, entry: Mode, obj: ObjectiveSpec, alpha: float, step: float
     """The one path of run, run_scheme and run_ode (``caller``, named in
     errors) to _drive: checks the arguments, then steps the dynamics of
     ``entry`` from (x0, v0) at its start time."""
+    import numpy as np
     if alpha <= 0.0 or step <= 0.0 or steps < 1 or stride < 1:
         raise ValueError(
             f"{caller} requires alpha > 0, {entry.step_key} > 0, steps >= 1, stride >= 1")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import dynamics, io, rates
 from .config import ExperimentConfig, GridSpec
 from .objectives import parse_objective, reference_point
+
+if TYPE_CHECKING:  # an annotation only; io loads numpy for a run
+    import numpy as np
 
 WORKERS_ENV = "INERTIAL_RATES_WORKERS"
 

@@ -164,7 +164,9 @@ def read_cell(celldir: str) -> Tuple[Trajectory, str, RateRegime]:
     import zipfile  # numpy has loaded it: np.load raises its BadZipFile
 
     try:
-        with np.load(os.path.join(celldir, "records.npz"), allow_pickle=False) as npz:
+        # np.load drops its own handle before it raises BadZipFile; this one closes
+        with open(os.path.join(celldir, "records.npz"), "rb") as fh, \
+                np.load(fh, allow_pickle=False) as npz:
             traj = _trajectory(npz)
         with open(os.path.join(celldir, "verdict.json"), encoding="utf-8") as fh:
             verdict = json.load(fh)

@@ -8,23 +8,24 @@ for both forms, so dimension 1 runs free of array overhead.  The 1-D power
 and plateau gradients and the closed-form 1-D power proxes are stated as one
 expression each (an Expr, built by _expr): the public callable is compiled
 from it and carries it (inlined), and the scheme's stepping loop inlines the
-same text.  Catalog parameters must be finite.
+same text.  Catalog parameters must be finite.  numpy loads with the first
+array: the functions that build or read arrays import it in their bodies,
+so a 1-D catalog parse loads none.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: a catalog parse loads no numpy
+    import numpy as np
 
-Point = Union[float, np.ndarray]
+Point = Union[float, "np.ndarray"]
 
 # Relative probe tolerance separating analytic violation from rounding.
 TOL_PROBE = 1e-10
-
-_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,8 @@ def as_point(coords, dim: int) -> Point:
     and a ``(dim,)`` float array otherwise.  ``coords`` is a number, or a
     sequence or array of ``dim`` numbers; the array may share its memory.
     Raises ValueError when the coordinate count is not ``dim``."""
-    if dim > 1 and type(coords) is np.ndarray and coords.dtype is _FLOAT64 \
+    import numpy as np
+    if dim > 1 and type(coords) is np.ndarray and coords.dtype is np.dtype(np.float64) \
             and coords.shape == (dim,):
         return coords  # already in point form
     p = np.asarray(coords, dtype=float).reshape(-1)
@@ -294,26 +296,18 @@ def _safe_pow(coef: float, u: float, e: float) -> float:
         return math.inf
 
 
-def _norm(x):
+def _norm(x, np):
     """np.linalg.norm, rescaled by max|x_i| when it falls outside
     [1e-150, 1e150] at a finite nonzero point: below ~1.5e-154 the squared sum
     is subnormal (inexact, or 0) and above ~1.3e154 it overflows to inf.
-    Points whose norm lies in that range keep their bits."""
+    Points whose norm lies in that range keep their bits.  ``np`` is numpy,
+    bound once by the caller: an n-D run takes a norm at every step."""
     n = np.linalg.norm(x)
     if not 1e-150 <= n <= 1e150:
         s = np.max(np.abs(x))
         if 0.0 < s < math.inf:
             n = s * np.linalg.norm(np.asarray(x) / s)
     return n
-
-
-def _prox_power_radial(prox1: Callable[[float, float], float], h: float,
-                       y: np.ndarray) -> np.ndarray:
-    """The radial extension of the 1-D prox ``prox1`` at the point y."""
-    ny = float(_norm(y))
-    if ny == 0.0:
-        return np.zeros_like(y)
-    return (prox1(h, ny) / ny) * y
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +342,22 @@ def make_power(gamma: float, dim: int = 1) -> ObjectiveSpec:
         dist = abs
         hint: object = 0.0
     else:
+        import numpy as np
+
         def value(x, _g=gamma):
-            return float(_norm(x) ** _g)
+            return float(_norm(x, np) ** _g)
 
         def gradient(x, _g=gamma):
-            n = float(_norm(x))
+            n = float(_norm(x, np))
             if n == 0.0:
                 return np.zeros_like(x)
             return (_g * n ** (_g - 2.0)) * x
 
-        prox = lambda h, y: _prox_power_radial(prox1, h, y)
-        dist = lambda x: float(_norm(x))
+        def prox(h, y):  # the radial extension of prox1
+            ny = float(_norm(y, np))
+            return np.zeros_like(y) if ny == 0.0 else (prox1(h, ny) / ny) * y
+
+        dist = lambda x: float(_norm(x, np))
         hint = np.zeros(dim)
     return ObjectiveSpec(
         name=name,
@@ -416,6 +415,7 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
     Rank-deficient A is allowed: the minimizer set is the affine subspace
     x_hat + null(A) and the distance map projects onto the row space.
     """
+    import numpy as np
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
@@ -433,13 +433,16 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
     Atb = A.T @ b
 
     # Points are taken as they come: A @ x needs an array, so a float point
-    # (n == 1) is reshaped there; x - x_hat and y + h*Atb broadcast it.
+    # (n == 1) is reshaped there; x - x_hat and y + h*Atb broadcast it.  The
+    # gradient and prox give the point form themselves (a float for n == 1):
+    # as_point would import numpy at every step.
     def value(x):
         r = A @ (x if n > 1 else np.reshape(x, 1)) - b
         return 0.5 * float(r @ r)
 
     def gradient(x):
-        return as_point(A.T @ (A @ (x if n > 1 else np.reshape(x, 1)) - b), n)
+        g = A.T @ (A @ (x if n > 1 else np.reshape(x, 1)) - b)
+        return g if n > 1 else float(g[0])
 
     def dist(x):
         return float(np.linalg.norm(V_row @ (x - x_hat)))
@@ -454,7 +457,8 @@ def make_least_squares(A: np.ndarray, b: np.ndarray) -> ObjectiveSpec:
         if h != last_h:
             M = np.eye(n) + h * AtA
             system[0] = h, M
-        return as_point(np.linalg.solve(M, y + h * Atb), n)
+        p = np.linalg.solve(M, y + h * Atb)
+        return p if n > 1 else float(p[0])
 
     return ObjectiveSpec(
         name=f"lsq:m={m},n={n}",
@@ -478,6 +482,7 @@ def sample_ball(
 ) -> list:
     """Uniform samples in the open ball B(x_star, radius), deterministic in
     seed, in point form."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     c = as_point(x_star, dim)
     if dim == 1:
@@ -492,6 +497,7 @@ def _check_finite(caller: str, x_star: Point, **numbers: float) -> None:
     """Reject a non-finite probe argument: a nan or inf center, radius,
     exponent or constant turns the margins into nan or inf, and the verdict
     into a vacuous "holds"."""
+    import numpy as np
     for key, value in numbers.items():
         if not math.isfinite(value):
             raise ValueError(f"{caller} requires a finite {key}, got {value}")
@@ -553,6 +559,7 @@ def probe_h1(
     violates.  gamma, x_star and radius must be finite; x_star is any form
     as_point accepts.
     """
+    import numpy as np
     x_star = as_point(x_star, obj.dim)
     _check_range("probe_h1", x_star, gamma, radius, n_samples)
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
@@ -603,12 +610,13 @@ def flatness_constant(
     this gamma; the reported constant is the sampled maximum, not certified.
     Its arguments are checked as probe_h1 checks them.
     """
+    import numpy as np
     x_star = as_point(x_star, obj.dim)
     _check_range("flatness_constant", x_star, gamma, radius, n_samples)
     samples = sample_ball(x_star, radius, n_samples, seed, obj.dim)
     M = 0.0
     for x in samples:
-        d = float(_norm(x - x_star))
+        d = float(_norm(x - x_star, np))
         if d == 0.0:
             continue
         M = max(M, (obj.value(x) - obj.f_star) / d ** gamma)
@@ -641,6 +649,7 @@ def parse_objective(spec: str) -> ObjectiveSpec:
             return make_power(float(args["gamma"]), int(args.get("dim", "1")))
         if kind == "plateau":
             return make_plateau(float(args["gamma"]), float(args["a"]))
+        import numpy as np
         data = np.loadtxt(args["file"], delimiter=",", ndmin=2)
         if data.shape[1] < 2:
             raise ValueError("lsq file needs at least 2 columns ([A|b])")
@@ -657,6 +666,7 @@ def check_gradient(obj: ObjectiveSpec, x: Point, delta: float = 1e-6) -> float:
     """
     if delta <= 0.0:
         raise ValueError("check_gradient requires delta > 0")
+    import numpy as np
     x = as_point(x, obj.dim)
     g = np.atleast_1d(obj.gradient(x))
     x = np.atleast_1d(x)

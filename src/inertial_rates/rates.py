@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: verdict_windows loads no numpy
+    import numpy as np
 
-from .dynamics import Trajectory
+    from .dynamics import Trajectory
 
 BRANCH_SHARP = "sharp-subcritical"
 BRANCH_SATURATED = "flat-saturated"
@@ -95,6 +96,7 @@ class SeriesFit:
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     """Least-squares line y ~ slope*x + c; returns (slope, stderr, rmse)."""
+    import numpy as np
     A = np.vstack([x, np.ones_like(x)]).T
     sol, rss, *_ = np.linalg.lstsq(A, y, rcond=None)
     n = len(x)
@@ -117,6 +119,7 @@ def fit_series(
     ENVELOPE_BINS log-spaced bins from the first to the last of them, and
     log y is regressed on log t.
     """
+    import numpy as np
     m = (t > 0.0) & (y > 0.0) & np.isfinite(y)
     t, y = t[m], y[m]
     if len(t) == 0:
@@ -158,6 +161,7 @@ def tail_model_residuals(
     to the gap envelope; a power-law decay fits the first model strictly
     better, which is the numerical signature of "polynomial, not geometric".
     """
+    import numpy as np
     fit = fit_series(traj.t, traj.gap, t_window)
     if len(fit.t_points) < 3:
         raise ValueError("tail_model_residuals needs >= 3 envelope points")
@@ -181,6 +185,7 @@ class ZSeries:
 
 
 def z_sequence(traj: Trajectory, exponent: float) -> ZSeries:
+    import numpy as np
     if not math.isfinite(exponent):
         raise ValueError(f"z_sequence requires a finite exponent, got {exponent}")
     m = traj.t > 0.0

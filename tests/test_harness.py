@@ -1,11 +1,13 @@
 import concurrent.futures
 import csv
 import dataclasses
+import gc
 import json
 import math
 import os
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -432,6 +434,18 @@ def test_export_exits_2_without_records_or_on_a_file_that_does_not_load(tmp_path
     assert main(["export", str(tmp_path)]) == 2
     assert "cannot load cell" in capsys.readouterr().err
     assert not list(cell.glob("*.csv"))
+
+
+def test_read_cell_closes_a_records_file_that_starts_like_a_zip_but_does_not_load(tmp_path):
+    """np.load drops its own handle before it raises BadZipFile; read_cell's
+    handle is closed when it raises, not left to the garbage collector."""
+    (tmp_path / "records.npz").write_bytes(b"PK\x03\x04" + bytes(10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="cannot load cell .*BadZipFile"):
+            io.read_cell(str(tmp_path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_export_exits_2_when_verdict_and_records_disagree_on_alpha(tmp_path, capsys):

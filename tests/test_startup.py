@@ -74,7 +74,8 @@ def test_a_bare_import_loads_no_submodule():
 @pytest.mark.parametrize("workload", ["sharp-prox-record", "flat-band-grid"])
 def test_parsing_a_workload_document_loads_only_the_parse_modules(workload, monkeypatch):
     """The benchmark's set-up child, import and parse, loads the config and
-    the three modules its checks read, and no pool."""
+    the three modules its checks read, no pool and no numpy: validation
+    does no array work."""
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run_bench.py")
     bench = importlib.util.module_from_spec(spec)
@@ -84,7 +85,7 @@ def test_parsing_a_workload_document_loads_only_the_parse_modules(workload, monk
     assert _package(modules) == {"inertial_rates", "inertial_rates.config",
                                  "inertial_rates.dynamics", "inertial_rates.objectives",
                                  "inertial_rates.rates"}
-    assert "multiprocessing" not in modules and "concurrent.futures" not in modules
+    assert not {"multiprocessing", "concurrent.futures", "numpy"} & modules
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,20 +93,52 @@ def test_parsing_a_workload_document_loads_only_the_parse_modules(workload, monk
     ["probe", "--objective", "power:gamma=2,dim=1", "--h1", "2", "--samples", "20"],
 ])
 def test_rate_and_probe_load_no_runner_writer_or_energies(argv):
+    """rate does no array work and loads no numpy; probe samples its ball
+    with numpy, which loads on demand."""
     modules = _loaded("from inertial_rates.cli import main\nassert main(sys.argv[1:]) == 0",
                       *argv)
     assert not {"inertial_rates.gridrun", "inertial_rates.io",
                 "inertial_rates.lyapunov"} & modules
     assert "multiprocessing" not in modules
+    assert ("numpy" in modules) == (argv[0] == "probe")
+
+
+def test_a_rejected_run_or_grid_config_exits_2_before_loading_the_runner(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"pairs": [[3.0, 2.0]]}, "run": {}, "bogus": 1}))
+    for argv in (["run", "--objective", "power:gamma=2,dim=1", "--alpha", "-1",
+                  "--steps", "100"],
+                 ["grid", "--config", str(grid)]):
+        modules = _loaded("from inertial_rates.cli import main\n"
+                          "assert main(sys.argv[1:]) == 2", *argv)
+        assert not {"inertial_rates.gridrun", "inertial_rates.io", "numpy"} & modules, argv
+
+
+@pytest.mark.parametrize("objective, x0", [
+    ("power:gamma=3,dim=3", [0.5, 0.0, -0.25]),
+    ("lsq:file={csv}", [0.5, -0.25]),
+])
+def test_a_parse_that_needs_arrays_loads_numpy_on_demand(objective, x0, tmp_path):
+    """An n-D power or a least-squares objective builds arrays when it is
+    parsed; numpy loads then, and the objective steps."""
+    csv = tmp_path / "lsq.csv"
+    csv.write_text("2,0,1\n0,1,-1\n")
+    doc = {**SMALL_RUN, "objective": objective.format(csv=csv), "x0": x0}
+    code = ("from inertial_rates import as_point, parse_config\n"
+            "cfg = parse_config(sys.argv[1])\nobj = cfg.build_objective()\n"
+            "assert obj.gradient(as_point(cfg.x0, obj.dim)).shape == (len(cfg.x0),)")
+    assert "numpy" in _loaded(code, json.dumps(doc))
 
 
 def test_run_cell_loads_no_energies_plot_or_pool(tmp_path):
+    """A parse, then run_cell: numpy loads with the run, and its verdict
+    passes."""
     code = ("import json\nfrom inertial_rates import run_cell\n"
             "from inertial_rates.config import config_from_dict\n"
             "r = run_cell(config_from_dict(json.loads(sys.argv[1])), sys.argv[2])\n"
             "assert r.error is None and r.verdict['passed']")
     modules = _loaded(code, json.dumps(SMALL_RUN), str(tmp_path / "cell"))
-    assert "inertial_rates.gridrun" in modules and "inertial_rates.io" in modules
+    assert {"inertial_rates.gridrun", "inertial_rates.io", "numpy"} <= modules
     assert not {"inertial_rates.lyapunov", "inertial_rates.svgplot", "multiprocessing",
                 "concurrent.futures"} & modules
     assert (tmp_path / "cell" / "verdict.json").is_file()
