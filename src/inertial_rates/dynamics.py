@@ -20,7 +20,7 @@ imports it), so a config parse that reads MODES loads none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .objectives import ObjectiveSpec, as_point, inlined
@@ -82,8 +82,10 @@ class Trajectory:
     integrator runs v is the state velocity.  t is record_times of the run
     fields and n.  A scheme run that comes to rest at an exact fixed point
     has ``first_filled``, the index of the first record filled without
-    stepping: every later record repeats its x, v and gap (fill_records).
-    It is None for a run that never rests.
+    stepping: the records at every ``fill_stride``-th n after it, and the
+    last n, repeat its x, v and gap.  Of these the run holds the last only
+    (n[-1] is its last step); expanded() builds the rest.  It is None for a
+    run that never rests.
     """
 
     mode: str
@@ -97,6 +99,7 @@ class Trajectory:
     gap: np.ndarray          # F(x) - F*, shape (N,)
     error: Optional[str] = None
     first_filled: Optional[int] = None
+    fill_stride: int = 1     # n between filled records; 1 when none is filled
 
     @property
     def dim(self) -> int:
@@ -109,6 +112,17 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.n)
 
+    def expanded(self) -> Trajectory:
+        """The run with every record, its filled ones built (fill_records),
+        for the consumers that print each record."""
+        i = self.first_filled
+        if i is None:
+            return self
+        n, x, v, gap = fill_records(self.fill_stride, int(self.n[-1]),
+                                    *(a[:i + 1] for a in (self.n, self.x, self.v, self.gap)))
+        t = record_times(self.mode, self.step, self.t0, n)
+        return replace(self, n=n, t=t, x=x, v=v, gap=gap)
+
 
 def record_times(mode: str, step: float, t0: float, n: np.ndarray) -> np.ndarray:
     """The times of records ``n``, t0 + n * MODES[mode].time_unit(step):
@@ -117,18 +131,17 @@ def record_times(mode: str, step: float, t0: float, n: np.ndarray) -> np.ndarray
     return t0 + n * MODES[mode].time_unit(step)
 
 
-def fill_records(n: np.ndarray, x: np.ndarray, v: np.ndarray, gap: np.ndarray,
-                 stride: int, last: int):
-    """(n, x, v, gap) followed by the fill of a run at rest from the last
-    record: that record's x, v and gap at every ``stride``-th step after it
-    up to ``last``, and at ``last``.  Each result is allocated once and
-    filled in place: a run at rest fills up to MAX_RECORDS rows, and every
-    temporary of that size costs fresh pages on each run."""
+def fill_records(stride: int, last: int, n: np.ndarray, *columns: np.ndarray) -> tuple:
+    """n and ``columns`` (their rows at n) followed by the fill of a run at
+    rest from the last record: that record's row at every ``stride``-th step
+    after it up to ``last``, and at ``last``.  Each result is allocated once
+    and filled in place: a run at rest fills up to MAX_RECORDS rows, and
+    every temporary of that size costs fresh pages."""
     import numpy as np
     first, size = int(n[-1]), len(n)
     k = -(-(last - first) // stride)  # the multiples of stride after first, then last
-    out = [np.empty((size + k, *a.shape[1:]), dtype=a.dtype) for a in (n, x, v, gap)]
-    for a, o in zip((n, x, v, gap), out):
+    out = [np.empty((size + k, *a.shape[1:]), dtype=a.dtype) for a in (n, *columns)]
+    for a, o in zip((n, *columns), out):
         o[:size] = a
         o[size:] = a[-1]
     out[0][size:] += stride * np.arange(1, k + 1, dtype=np.int64)
@@ -184,8 +197,8 @@ class _Recorder:
     """Recorded (n, x, b, gap) samples, where b is the second half of the
     state (x_{n-1} for the scheme, v for RK4), in lists (appending a float
     costs far less than storing it into an array element), and the fill of
-    a run at rest as one segment: the stride and last n after the final
-    sample, whose state repeats over it."""
+    a run at rest as one segment: its first and last records as samples,
+    and the stride between."""
 
     def __init__(self, obj: ObjectiveSpec):
         self.obj = obj
@@ -193,7 +206,7 @@ class _Recorder:
         self.xs: list = []
         self.bs: list = []
         self.gaps: list = []
-        self.fill_to: Optional[tuple] = None  # (stride, last n) of the fill
+        self.filled: Optional[tuple] = None  # (first_filled, fill_stride) of the fill
 
     def gap(self, x) -> float:
         """F(x) - F*; a value that overflows counts as inf."""
@@ -210,28 +223,27 @@ class _Recorder:
 
     def fill(self, start: int, stop: int, stride: int, x, b) -> None:
         """Record (x, b) at every multiple of ``stride`` in [start, stop], and
-        at ``stop`` itself: the first of these as a sample, the rest as the
-        segment."""
-        self.add(min(-(-start // stride) * stride, stop), x, b)
-        self.fill_to = stride, stop
+        at ``stop`` itself: the first and the last of these as samples, the
+        rest as the segment."""
+        first = min(-(-start // stride) * stride, stop)
+        self.add(first, x, b)
+        self.filled = len(self.ns) - 1, min(stride, stop - first) or 1
+        if stop > first:
+            self.add(stop, x, b)
 
     def trajectory(self, error, velocity, mode: str, alpha: float, step: float,
                    t0: float) -> Trajectory:
         """The samples as a Trajectory with velocities ``velocity(x, b)``,
-        taken over all samples at once, and the segment expanded after
-        them."""
+        taken over all samples at once."""
         import numpy as np
         dim = self.obj.dim
         n = np.asarray(self.ns, dtype=np.int64)
         x = np.asarray(self.xs, dtype=float).reshape(len(n), dim)
         b = np.asarray(self.bs, dtype=float).reshape(len(n), dim)
-        v, gap = velocity(x, b), np.array(self.gaps, dtype=float)
-        first_filled = None
-        if self.fill_to is not None:
-            first_filled = len(n) - 1
-            n, x, v, gap = fill_records(n, x, v, gap, *self.fill_to)
+        first_filled, fill_stride = self.filled or (None, 1)
         return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n), x=x,
-                          v=v, gap=gap, error=error, first_filled=first_filled)
+                          v=velocity(x, b), gap=np.array(self.gaps, dtype=float), error=error,
+                          first_filled=first_filled, fill_stride=fill_stride)
 
 
 def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride: int,
@@ -258,9 +270,9 @@ def _drive(obj: ObjectiveSpec, interval, coefficients, state, steps: int, stride
     With ``fixed_points``, a state (a, b) whose halves are identical bit for
     bit takes one step alone, and if that step returns the state unchanged,
     the run is at rest: the caller vouches that such a state steps to itself
-    from then on.  The loop stops there; the first remaining record takes
-    the state, and the rest are one segment (its stride and last n) that
-    the Trajectory expands with numpy, marking that record first_filled.
+    from then on.  The loop stops there; the remaining records are one
+    segment of the Trajectory (first_filled, fill_stride), whose first and
+    last records take the state.
     """
     import numpy as np
     finite, same = _point_form(obj.dim)

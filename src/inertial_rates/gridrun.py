@@ -27,8 +27,16 @@ class CellResult:
     label: str
     config: ExperimentConfig
     verdict: Optional[dict]
-    z: Optional[Tuple[np.ndarray, np.ndarray]]
+    z: Optional[Tuple[np.ndarray, np.ndarray]]  # (t, z) of the records the run holds
     error: Optional[str] = None
+    rest: Optional[dynamics.Trajectory] = None  # a run at rest, for z_points
+
+    def z_points(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(t, z) of every record: a run at rest gets its filled ones built."""
+        if self.rest is None:
+            return self.z
+        zs = rates.z_sequence(self.rest.expanded(), self.verdict["theoretical"])
+        return zs.t, zs.z
 
     def summary_row(self) -> dict:
         """The verdict with label and error: the cell's error, else the
@@ -67,14 +75,15 @@ def run_cell(cfg: ExperimentConfig, outdir: Optional[str] = None, label: str = "
             notes["trajectory_error"] = traj.error
         vdict = {**io.verdict_to_dict(cfg.objective, regime, verdict), **notes}
         io.write_json(vdict, os.path.join(out, "verdict.json"))
-        return CellResult(label, cfg, vdict, z, error=traj.error)
+        return CellResult(label, cfg, vdict, z, error=traj.error,
+                          rest=None if traj.first_filled is None else traj)
     except Exception as exc:  # isolate the cell; the grid must survive
         return CellResult(label, cfg, None, None, error=f"{type(exc).__name__}: {exc}")
 
 
 def export_cell(celldir: str) -> None:
     """Write trajectory.csv, and for a run with more than one record
-    energy.csv and z.csv, from the cell's records.npz and verdict.json.
+    energy.csv and z.csv, from the cell's records.npz (every record) and verdict.json.
 
     z is taken at the regime exponent of verdict.json's (alpha, gamma); the
     energy uses select_params' default Lyapunov family for that regime,
@@ -82,6 +91,7 @@ def export_cell(celldir: str) -> None:
     from . import lyapunov  # only the export computes energies
 
     traj, objective, regime = io.read_cell(celldir)
+    traj = traj.expanded()
     io.write_trajectory_csv(traj, os.path.join(celldir, "trajectory.csv"))
     if len(traj) > 1:
         params = lyapunov.select_params(regime.alpha, regime.gamma)
@@ -148,7 +158,7 @@ def run_grid(grid: GridSpec, outdir: str = "out") -> list:
     io.write_summary(
         rows, os.path.join(outdir, "summary.csv"), os.path.join(outdir, "summary.txt")
     )
-    series = [(r.label, r.z[0], r.z[1]) for r in results if r.z is not None]
+    series = [(r.label, *r.z_points()) for r in results if r.z is not None]
     if series:
         from .svgplot import emit_svg
 

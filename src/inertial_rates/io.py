@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import MAX_RECORDS, _as_float
-from .dynamics import MODES, Trajectory, fill_records, record_times
+from .dynamics import MODES, Trajectory, record_times
 from .objectives import parse_objective
 from .rates import RateRegime, RateVerdict, ZSeries, theoretical_rate
 
@@ -96,16 +96,14 @@ _MEMBERS = {"n": ("i8", "N"), "x": ("f8", "ND"), "v": ("f8", "ND"), "gap": ("f8"
 def write_records(traj: Trajectory, path: str) -> None:
     """Write records.npz: the _MEMBERS of ``traj``, uncompressed.  A run at
     rest keeps its records up to its first filled one, and adds the member
-    tail, int64 (that record's n, the step between filled records, the last
-    n), from which read_cell fills the rest."""
+    tail, int64 (that record's n, its fill_stride, the last n), from which
+    read_cell takes the last record."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     members = {**{k: getattr(traj, k) for k in _MEMBERS}, "error": traj.error or ""}
     i = traj.first_filled
     if i is not None:
-        n = traj.n
-        stride = int(n[i + 1] - n[i]) if i + 1 < len(n) else 1  # 1: nothing to fill
         members.update({k: members[k][:i + 1] for k in ("n", "x", "v", "gap")},
-                       tail=np.array([n[i], stride, n[-1]], dtype=np.int64))
+                       tail=np.array([traj.n[i], traj.fill_stride, traj.n[-1]], dtype=np.int64))
     np.savez(path, **members)
 
 
@@ -129,14 +127,17 @@ def _trajectory(npz) -> Trajectory:
         raise ValueError(f"run fields mode {mode!r}, alpha {alpha}, step {step}, t0 {t0}: "
                          f"want a mode of {tuple(MODES)}, finite alpha > 0, step > 0 and its t0")
     n, x, v, gap = m["n"], m["x"], m["v"], m["gap"]
-    first_filled = None
+    first_filled, fill_stride = None, 1
     if "tail" in npz.files:
         if not MODES[mode].is_scheme:
             raise ValueError(f"member tail in a {mode} file: only a scheme run comes to rest")
-        first_filled = N - 1
-        n, x, v, gap = fill_records(n, x, v, gap, *_filled(npz["tail"], n))
+        first_filled, (fill_stride, last) = N - 1, _filled(npz["tail"], n)
+        if last > n[-1]:  # the last record repeats the first filled one
+            n, x, v, gap = (np.concatenate((a, a[-1:])) for a in (n, x, v, gap))
+            n[-1] = last
     return Trajectory(mode, alpha, step, t0, n=n, t=record_times(mode, step, t0, n),
-                      x=x, v=v, gap=gap, error=str(m["error"]) or None, first_filled=first_filled)
+                      x=x, v=v, gap=gap, error=str(m["error"]) or None, first_filled=first_filled,
+                      fill_stride=fill_stride)
 
 
 def _filled(tail: np.ndarray, n: np.ndarray) -> Tuple[int, int]:

@@ -162,7 +162,7 @@ def tail_model_residuals(
     better, which is the numerical signature of "polynomial, not geometric".
     """
     import numpy as np
-    fit = fit_series(traj.t, traj.gap, t_window)
+    fit = fit_series(*_records(traj), t_window)
     if len(fit.t_points) < 3:
         raise ValueError("tail_model_residuals needs >= 3 envelope points")
     return fit.rmse, _line_fit(fit.t_points, np.log(fit.y_points))[2]
@@ -184,15 +184,30 @@ class ZSeries:
     degenerate: bool = False
 
 
+def _records(traj: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, gap) of the records of ``traj`` that the verdict reads.  The filled
+    records of a run at rest repeat one gap: at a gap <= 0 (or NaN) they add no
+    sample to fit_series and z = 0, so the held ones give the same results."""
+    i = traj.first_filled
+    if i is None or not traj.gap[i] > 0.0:
+        return traj.t, traj.gap
+    from .dynamics import fill_records, record_times
+    n, gap = fill_records(traj.fill_stride, int(traj.n[-1]), traj.n[:i + 1], traj.gap[:i + 1])
+    return record_times(traj.mode, traj.step, traj.t0, n), gap
+
+
 def z_sequence(traj: Trajectory, exponent: float) -> ZSeries:
+    """gap * t**exponent over the records (_records) at t > 0; a gap <= 0
+    gives z = 0 exactly, even where t**exponent overflows."""
     import numpy as np
     if not math.isfinite(exponent):
         raise ValueError(f"z_sequence requires a finite exponent, got {exponent}")
-    m = traj.t > 0.0
-    t = traj.t[m]
-    z = np.maximum(traj.gap[m], 0.0) * np.power(t, exponent)
+    t, gap = _records(traj)
+    t, gap = t[t > 0.0], gap[t > 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):  # verify_rate names an overflow
+        z = np.where(gap <= 0.0, 0.0, gap * np.power(t, exponent))
     zmax = float(z.max()) if len(z) else 0.0
-    if not 0.0 < zmax < math.inf:  # all gaps zero, or one overflowed
+    if not 0.0 < zmax < math.inf:  # all gaps zero, or a z overflowed
         return ZSeries(t, z, zmax, exponent, degenerate=True)
     return ZSeries(t, z / zmax, zmax, exponent)
 
@@ -267,15 +282,17 @@ def verify_rate(traj: Trajectory, regime: RateRegime, zs: ZSeries) -> RateVerdic
     if zs.exponent != regime.exponent:
         raise ValueError(f"verify_rate: z is taken at exponent {zs.exponent}, "
                          f"the regime's is {regime.exponent}")
+    t, gap = _records(traj)
     if zs.degenerate:
+        if zs.prenorm_max == math.inf and math.inf not in gap:
+            raise ValueError(f"verify_rate: gap * t**{zs.exponent} overflows a float")
         raise ValueError(
             "verify_rate: degenerate z-sequence (all gaps are zero, or a gap overflowed)"
         )
-    t = zs.t
-    t_mid, window = verdict_windows(traj.is_scheme, regime.gamma, traj.step, t[0], t[-1])
-    tail = zs.z[t >= t_mid]
+    t_mid, window = verdict_windows(traj.is_scheme, regime.gamma, traj.step, zs.t[0], zs.t[-1])
+    tail = zs.z[zs.t >= t_mid]
     ratio = float(tail.max()) if len(tail) else 0.0
-    fit = fit_series(traj.t, traj.gap, window)
+    fit = fit_series(t, gap, window)
     return RateVerdict(
         regime=regime,
         fitted=fit.exponent,

@@ -350,11 +350,14 @@ def test_run_vector_dimension():
 
 def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, stride,
                                      error_step=None):
-    """Every record of traj (n, x, v, gap, sign bits included) equals the
-    written-out recurrence stepped to the end, or, for a run whose step
-    ``error_step`` goes non-finite, stepped to the state before it: records at
-    the stride multiples up to that state, that state itself as the last one,
-    and the error marker."""
+    """Every record of traj (n, x, v, gap, sign bits included), its filled
+    ones built by Trajectory.expanded, equals the written-out recurrence
+    stepped to the end, or, for a run whose step ``error_step`` goes
+    non-finite, stepped to the state before it: records at the stride
+    multiples up to that state, that state itself as the last one, and the
+    error marker.  A run at rest holds its records up to the first filled
+    one and the last."""
+    held, traj = traj, traj.expanded()
     if use_prox:
         step = lambda y: obj.prox(h, y)
     else:
@@ -377,6 +380,13 @@ def _assert_records_match_recurrence(traj, obj, use_prox, alpha, h, x0, steps, s
     if traj.first_filled is not None:  # filled from a state at rest
         n = traj.n[traj.first_filled]
         assert xs[n].tobytes() == xs[n - 1].tobytes()
+        rows = [*range(traj.first_filled + 1), len(traj) - 1][:len(held)]
+        assert held.first_filled == traj.first_filled and len(held) <= traj.first_filled + 2
+        for got, want in ((held.n, traj.n), (held.t, traj.t), (held.x, traj.x),
+                          (held.v, traj.v), (held.gap, traj.gap)):
+            assert got.tobytes() == want[rows].tobytes()
+    else:
+        assert held is traj
 
 
 _FIXED_POINT_CASES = [
@@ -446,9 +456,10 @@ def test_zeros_of_opposite_sign_are_not_at_rest(dim):
     )
     # x_0 = h/2 > 0, x_1 = +0.0, x_2 = -0.0 (from y_1 = -h/2 * m), x_3 = -0.0, x_4 = +0.0
     x0 = 0.05 if dim == 1 else np.full(dim, 0.05)
-    traj = run_scheme(obj, alpha=3.0, h=0.1, steps=12, x0=x0, stride=1, use_prox=True)
+    run = run_scheme(obj, alpha=3.0, h=0.1, steps=12, x0=x0, stride=1, use_prox=True)
+    traj = run.expanded()
     assert np.all(np.signbit(traj.x[2:4])) and not np.any(np.signbit(traj.x[4:]))
-    _assert_records_match_recurrence(traj, obj, True, 3.0, 0.1, x0, 12, 1)
+    _assert_records_match_recurrence(run, obj, True, 3.0, 0.1, x0, 12, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +930,7 @@ def test_fill_records_matches_the_concatenated_fill(records, dim, first, stride,
     x, v = (np.arange(records * dim, dtype=float).reshape(records, dim) for _ in "xv")
     gap = np.arange(records, dtype=float)
     x[-1], v[-1], gap[-1] = values  # the last record, which the fill repeats
-    got = dynamics.fill_records(n, x, v, gap, stride, first + span)
+    got = dynamics.fill_records(stride, first + span, n, x, v, gap)
     want = _fill_by_concatenation(n, x, v, gap, stride, first + span)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -383,7 +383,7 @@ def test_export_writes_what_the_writers_make_of_the_run(tmp_path, name):
     _exported(tmp_path / "cell")
 
     obj = cfg.build_objective()
-    traj = dynamics.run(cfg, obj)
+    traj = dynamics.run(cfg, obj).expanded()
     want = tmp_path / "want"
     io.write_trajectory_csv(traj, str(want / "trajectory.csv"))
     if len(traj) > 1:
@@ -539,15 +539,17 @@ MEMBERS = ["n", "x", "v", "gap", "mode", "alpha", "step", "t0", "error"]
 @pytest.mark.parametrize("name", list(ROUND_TRIP_CELLS))
 def test_read_cell_gives_back_the_run(tmp_path, name):
     """records.npz holds n, x, v, gap and the run fields, and read_cell
-    rebuilds the Trajectory of the run from it bit for bit, t and
-    first_filled included; verify_rate on the loaded Trajectory writes the
-    cell's verdict.json.  Only the runs at rest have a first filled record,
-    and their records.npz stores the records up to it and the member tail,
-    no filled record after it."""
+    rebuilds the Trajectory of the run from it bit for bit, t, first_filled
+    and fill_stride included, and so its expansion (every record);
+    verify_rate on the loaded Trajectory writes the cell's verdict.json.
+    Only the runs at rest have a first filled record, and their records.npz
+    stores the records up to it and the member tail, no filled record after
+    it."""
     cfg = config_from_dict(ROUND_TRIP_CELLS[name])
     run_cell(cfg, str(tmp_path))
     obj = cfg.build_objective()
     traj = dynamics.run(cfg, obj)
+    full = traj.expanded()
     rests = name in RESTING_CELLS
     assert (traj.first_filled is not None) == rests
     with np.load(tmp_path / "records.npz", allow_pickle=False) as npz:
@@ -555,19 +557,20 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
         stored = traj.first_filled + 1 if rests else len(traj)
         assert len(npz["n"]) == len(npz["x"]) == stored
     if rests:
-        assert stored < len(traj)
-        assert np.all(traj.x[stored:] == traj.x[stored - 1]) and np.all(traj.v[stored - 1:] == 0.0)
+        assert stored < len(full)
+        assert np.all(full.x[stored:] == full.x[stored - 1]) and np.all(full.v[stored - 1:] == 0.0)
     if name == "rests-at-a-block-boundary":
-        assert list(traj.n) == [0, _BLOCK, 2 * _BLOCK, 9000] and traj.first_filled == 2
+        assert list(full.n) == [0, _BLOCK, 2 * _BLOCK, 9000] and traj.first_filled == 2
     loaded, objective, regime = io.read_cell(str(tmp_path))
-    for field in dataclasses.fields(dynamics.Trajectory):
-        want, got = getattr(traj, field.name), getattr(loaded, field.name)
-        assert type(got) is type(want), field.name
-        if isinstance(want, np.ndarray):
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
-                                                             want.tobytes()), field.name
-        else:
-            assert got == want, field.name
+    for got_run, want_run in ((loaded, traj), (loaded.expanded(), full)):
+        for field in dataclasses.fields(dynamics.Trajectory):
+            want, got = getattr(want_run, field.name), getattr(got_run, field.name)
+            assert type(got) is type(want), field.name
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                                 want.tobytes()), field.name
+            else:
+                assert got == want, field.name
     assert (objective, regime) == (cfg.objective, rates.theoretical_rate(cfg.alpha,
                                                                          obj.nominal_gamma))
     assert (traj.error is not None) == name.startswith("diverges")
@@ -592,6 +595,45 @@ def test_read_cell_gives_back_the_run(tmp_path, name):
         params = lyapunov.select_params(cfg.alpha, obj.nominal_gamma)
         assert (lyapunov.check_Hprime_closed_form(loaded, params, x_star=np.zeros(3))
                 == lyapunov.check_Hprime_closed_form(traj, params, x_star=np.zeros(3)))
+
+
+@pytest.mark.parametrize("name", RESTING_CELLS)
+def test_run_cell_never_expands_a_run_at_rest(tmp_path, monkeypatch, name):
+    """run_cell on a run at rest writes the bytes and verdict of a run without
+    the guard while every expansion of its fill raises: the run, its
+    records.npz and its verdict read the held records alone."""
+    cfg = config_from_dict(ROUND_TRIP_CELLS[name])
+    want = run_cell(cfg, str(tmp_path / "want"))
+
+    def expand(*args, **kwargs):
+        raise AssertionError("the fill of a run at rest was expanded")
+
+    monkeypatch.setattr(dynamics, "fill_records", expand)
+    monkeypatch.setattr(dynamics.Trajectory, "expanded", expand, raising=False)
+    got = run_cell(cfg, str(tmp_path / "got"))
+    assert got.error is None and got.verdict == want.verdict and got.rest is not None
+    for f in ("records.npz", "verdict.json"):
+        assert _read(tmp_path / "got" / f) == _read(tmp_path / "want" / f), f
+
+
+def test_the_overlay_draws_every_record_of_a_run_at_rest(tmp_path):
+    """z_overlay.svg of a grid whose cells rest draws z at every record, the
+    filled ones included: emit_svg of z_sequence on each cell's run, expanded
+    and marked as a run that never rests."""
+    run = {k: EXPORT_CELLS["prox-freezes"][k] for k in ("mode", "h", "steps", "stride", "x0")}
+    grid = parse_config(json.dumps({"grid": {"pairs": [[3.0, 1.5], [2.0, 1.0]], "parallelism": 1},
+                                    "run": run}))
+    results = run_grid(grid, str(tmp_path))
+    series = []
+    for r in results:
+        assert r.rest is not None and "verdict_error" not in r.verdict
+        every = dataclasses.replace(dynamics.run(r.config, r.config.build_objective()).expanded(),
+                                    first_filled=None)
+        zs = rates.z_sequence(every, r.verdict["theoretical"])
+        assert len(zs.t) > len(r.z[0])
+        series.append((r.label, zs.t, zs.z))
+    emit_svg(series, str(tmp_path / "want.svg"))
+    assert _read(tmp_path / "z_overlay.svg") == _read(tmp_path / "want.svg")
 
 
 def _malformed(npz):
@@ -758,7 +800,10 @@ def test_run_cell_shares_t_and_writes_the_same_files(tmp_path, run, offset):
     traj = dynamics.run(cfg, obj)
     with np.load(cell / "records.npz", allow_pickle=False) as npz:
         assert "t" not in npz.files
-    assert io.read_cell(str(cell))[0].t.tobytes() == traj.t.tobytes()
+    loaded = io.read_cell(str(cell))[0]
+    assert loaded.t.tobytes() == traj.t.tobytes()
+    traj = traj.expanded()
+    assert loaded.expanded().t.tobytes() == traj.t.tobytes()
     traj_t = [row.split(",")[1] for row in (cell / "trajectory.csv").read_text().splitlines()[1:]]
     z_t = [row.split(",")[0] for row in (cell / "z.csv").read_text().splitlines()[1:]]
     assert z_t == traj_t[offset:]

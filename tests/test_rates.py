@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inertial_rates.dynamics import Trajectory, run_ode, run_scheme
-from inertial_rates.objectives import make_power
+from inertial_rates.objectives import make_power, parse_objective
 from inertial_rates.rates import (
     BRANCH_INTERMEDIATE,
     BRANCH_SATURATED,
@@ -218,6 +222,36 @@ def test_z_overflowed_gap_is_degenerate_not_nan():
         _verify(_gap_traj(t, gap), theoretical_rate(1.0, 2.0))
 
 
+def test_z_of_a_zero_gap_is_zero_where_t_to_the_exponent_overflows():
+    """0 * inf is NaN: a gap <= 0 gives z = 0 exactly instead, with no
+    warning, so the gaps before t**200 overflows (t ~ 34.6) keep a
+    verdict."""
+    t = np.logspace(0, 2, 400)
+    gap = np.where(t < 20.0, t**-1.0, 0.0)
+    gap[-1] = -0.0
+    traj, pos = _gap_traj(t, gap), gap > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zs = z_sequence(traj, 200.0)
+        verify_rate(traj, theoretical_rate(200.0, 2.0), zs)
+    assert not zs.degenerate and zs.prenorm_max == np.max(gap[pos] * t[pos]**200.0)
+    assert np.all(zs.z[~pos] == 0.0) and not np.any(np.signbit(zs.z))
+    assert np.array_equal(zs.z[pos], gap[pos] * t[pos]**200.0 / zs.prenorm_max)
+
+
+def test_verify_rate_names_an_overflow_of_z():
+    """A finite gap whose gap * t**p overflows is named as such, with no
+    warning; an overflowed gap keeps its message."""
+    t = np.logspace(0, 2, 50)
+    traj = _gap_traj(t, t**-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zs = z_sequence(traj, 400.0)
+        assert zs.degenerate and zs.prenorm_max == math.inf
+        with pytest.raises(ValueError, match=r"gap \* t\*\*400.0 overflows a float"):
+            verify_rate(traj, theoretical_rate(400.0, 2.0), zs)
+
+
 def test_z_requires_finite_exponent():
     t = np.logspace(0, 2, 50)
     with pytest.raises(ValueError):
@@ -323,3 +357,80 @@ def test_verify_rate_uses_the_relative_window_elsewhere(run, gamma):
     traj = run()
     verdict = _verify(traj, theoretical_rate(traj.alpha, gamma))
     assert verdict.fitted == fit_series(traj.t, traj.gap).exponent
+
+
+# ---------------------------------------------------------------------------
+# a run at rest: its held records against its expansion
+# ---------------------------------------------------------------------------
+
+def _outcome(f):
+    """f() or the message of the ValueError it raises."""
+    try:
+        return f()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_same_z(held, every):
+    """z on the held records is z on every record, its filled records at
+    z = 0 dropped: the same maximum, flag and bits everywhere else."""
+    if isinstance(held, str) or isinstance(every, str):
+        assert held == every
+        return
+    fields = lambda zs: repr((zs.prenorm_max, zs.exponent, zs.degenerate))  # nan == nan
+    assert fields(held) == fields(every)
+    kept = np.isin(every.t, held.t)
+    assert every.t[kept].tobytes() == held.t.tobytes()
+    assert every.z[kept].tobytes() == held.z.tobytes()
+    assert np.all(every.z[~kept] == 0.0)
+
+
+# prox runs that reach x = 0, the plateau from inside its minimizer set, and
+# the gamma-4 gradient step that rests at step 1 from a tiny start, with a
+# positive gap
+_RESTING = [
+    *((f"power:gamma={g:g},dim={d}", True, "o1") for d in (1, 3) for g in (1.0, 1.5, 2.0)),
+    ("plateau:gamma=2,a=1", False, "inside"), ("plateau:gamma=2,a=1", True, "inside"),
+    ("power:gamma=4,dim=1", False, "tiny"), ("power:gamma=4,dim=3", False, "tiny"),
+]
+
+
+@pytest.mark.parametrize("spec, use_prox, start", _RESTING)
+@settings(max_examples=12, deadline=None)
+@given(
+    alpha=st.floats(0.5, 8.0),
+    h=st.floats(0.01, 0.45),
+    u=st.floats(0.0, 1.0),
+    negative=st.booleans(),
+    steps=st.integers(200, 3000),
+    stride=st.integers(1, 50),
+    z_alpha=st.none() | st.floats(100.0, 400.0),
+)
+def test_a_run_at_rest_gets_the_verdicts_of_its_expansion(spec, use_prox, start, alpha, h, u,
+                                                          negative, steps, stride, z_alpha):
+    """z_sequence, verify_rate and tail_model_residuals on a run at rest, which
+    holds its records up to the first filled one and the last, equal, bit for
+    bit and raised messages included, their results on every record (the
+    expansion, marked as a run that never rests), also at an exponent whose
+    t**p overflows (z_alpha)."""
+    obj = parse_objective(spec)
+    if start == "o1":        # log-uniform on [1e-310, 1]
+        x0 = 10.0 ** (-310.0 * (1.0 - u))
+    elif start == "inside":  # the plateau's minimizer set [-1, 1]
+        x0 = u
+    else:
+        x0, h = 10.0 ** (-9.0 + 3.0 * u), 1e-5
+    x0 = -x0 if negative else x0
+    x0 = x0 if obj.dim == 1 else np.array([x0, -0.5 * x0, 0.25 * x0])
+    held = run_scheme(obj, alpha, h, steps, x0, stride=stride, use_prox=use_prox)
+    assume(held.first_filled is not None)
+    every = dataclasses.replace(held.expanded(), first_filled=None)
+    gamma = obj.nominal_gamma
+    for regime in {theoretical_rate(alpha, gamma), theoretical_rate(z_alpha or alpha, gamma)}:
+        zs = [_outcome(lambda: z_sequence(r, regime.exponent)) for r in (held, every)]
+        _assert_same_z(*zs)
+        verdicts = [_outcome(lambda: verify_rate(r, regime, z)) if not isinstance(z, str) else z
+                    for r, z in zip((held, every), zs)]
+        assert repr(verdicts[0]) == repr(verdicts[1])
+    assert repr(_outcome(lambda: tail_model_residuals(held))) == repr(
+        _outcome(lambda: tail_model_residuals(every)))
